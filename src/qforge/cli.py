@@ -11,10 +11,18 @@ import traceback
 from pathlib import Path
 
 from .fileio import atomic_write_text
-from .harness import SuiteError, parse_suite, run_suite
-from .ir import Circuit, CircuitError, Named, register_bases
+from .harness import SuiteError, parse_assignments, parse_suite, run_suite
+from .ir import (
+    Circuit,
+    CircuitError,
+    Index,
+    Named,
+    decode_registers,
+    encode_registers,
+    register_bases,
+)
 from .logic import BasisState, NonLogicGate, run_logic
-from .passes import CompileError, PassConfig, compile_circuit, resolve_names, verify
+from .passes import CompileError, PassConfig, _resolver, checked, compile_circuit, verify
 from .qp import QPFormatError, emit_qp, parse_qp, to_circuit
 from .reduction import ReductionError, generate_kernels, write_kernels
 from .source import ParseError, parse_source
@@ -46,39 +54,6 @@ def _load_circuit(path: str) -> Circuit:
     return parse_source(text)
 
 
-def _checked(circuit: Circuit) -> Circuit:
-    diags = verify(circuit)
-    if diags:
-        for d in diags:
-            where = "" if d.gate_index is None else f"gate {d.gate_index}: "
-            print(f"{d.severity}: {where}{d.message}", file=sys.stderr)
-        raise CircuitError(f"{len(diags)} verification error(s)")
-    resolved, _ = resolve_names(circuit)
-    return resolved
-
-
-def _parse_prep(text: str, circuit: Circuit) -> int:
-    """Either 'a=3,b=5' register assignments or one bare integer."""
-    if not text:
-        return 0
-    if "=" not in text:
-        return int(text, 0)
-    bases = register_bases(circuit)
-    bits = 0
-    for part in text.split(","):
-        if not part:
-            continue
-        label, eq, value = part.partition("=")
-        if not eq or label not in bases:
-            raise ValueError(f"bad prep entry {part!r}")
-        base, size = bases[label]
-        v = int(value, 0)
-        if not 0 <= v < (1 << size):
-            raise ValueError(f"prep {label}={v} does not fit {size} qubits")
-        bits |= v << base
-    return bits
-
-
 def _parse_qubit_token(token: str, circuit: Circuit) -> int:
     """A specialization qubit: 'a[3]', 'a3', bare size-1 label, or index."""
     bases = register_bases(circuit)
@@ -95,16 +70,13 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         if head and head != token and head in bases:
             ref = Named(head, int(token[len(head):]))
         elif token.isdigit():
-            index = int(token)
-            if index >= circuit.n_qubits:
-                raise ValueError(f"qubit index {index} out of range")
-            return index
+            ref = Index(int(token))
         else:
             raise ValueError(f"cannot resolve qubit {token!r}")
-    base, size = bases.get(ref.label, (None, None))
-    if base is None or not 0 <= ref.offset < size:
-        raise ValueError(f"cannot resolve qubit {token!r}")
-    return base + ref.offset
+    index = _resolver(circuit)(ref)
+    if isinstance(index, str):
+        raise ValueError(f"cannot resolve qubit {token!r}: {index}")
+    return index
 
 
 def _cmd_check(args) -> int:
@@ -129,19 +101,20 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    circuit = _checked(_load_circuit(args.file))
-    prep = _parse_prep(args.prep, circuit)
-    if prep >= (1 << circuit.n_qubits):
-        raise ValueError(f"prep value {prep} does not fit {circuit.n_qubits} qubits")
+    circuit = checked(_load_circuit(args.file))
+    if "=" in args.prep:
+        prep = encode_registers(circuit, parse_assignments(args.prep))
+    else:
+        prep = int(args.prep or "0", 0)
+        if not 0 <= prep < (1 << circuit.n_qubits):
+            raise ValueError(
+                f"prep value {prep} does not fit {circuit.n_qubits} qubits"
+            )
     if args.backend == "logic":
         out = run_logic(circuit, BasisState(circuit.n_qubits, prep))
-        bases = register_bases(circuit)
-        if bases:
-            fields = [
-                f"{label}={(out.bits >> base) & ((1 << size) - 1)}"
-                for label, (base, size) in bases.items()
-            ]
-            print(" ".join(fields))
+        if circuit.registers:
+            fields = decode_registers(circuit, out.bits).items()
+            print(" ".join(f"{label}={value}" for label, value in fields))
         else:
             print(format(out.bits, f"0{circuit.n_qubits}b"))
         return 0
@@ -165,7 +138,7 @@ def _cmd_sim(args) -> int:
 
 def _cmd_reduce(args) -> int:
     source_path = Path(args.file)
-    circuit = _checked(parse_source(source_path.read_text()))
+    circuit = checked(parse_source(source_path.read_text()))
     qubit_indices = [
         _parse_qubit_token(tok, circuit) for tok in args.qubits.split(",") if tok
     ]

@@ -25,16 +25,9 @@ from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .ir import Circuit, register_bases
+from .ir import Circuit, decode_registers, encode_registers
 from .logic import BasisState, NonLogicGate, run_logic
-from .passes import (
-    PassConfig,
-    expand_multi_controls,
-    lower_negative_controls,
-    lower_swaps,
-    resolve_names,
-    verify,
-)
+from .passes import CompileError, PassConfig, checked, lower
 from .source import ParseError, parse_source
 from .statevector import run
 
@@ -104,44 +97,13 @@ class TestReport:
         return self.passed == len(self.results)
 
 
-def _prep_bits(circuit: Circuit, prep: dict[str, int]) -> int:
-    bases = register_bases(circuit)
-    bits = 0
-    for label, value in prep.items():
-        entry = bases.get(label)
-        if entry is None:
-            raise ValueError(f"prep names unknown register {label!r}")
-        base, size = entry
-        if not 0 <= value < (1 << size):
-            raise ValueError(
-                f"prep {label}={value} does not fit the {size}-qubit register"
-            )
-        bits |= value << base
-    return bits
-
-
-def _decode_registers(circuit: Circuit, bits: int) -> dict[str, int]:
-    out = {}
-    for label, (base, size) in register_bases(circuit).items():
-        out[label] = (bits >> base) & ((1 << size) - 1)
-    return out
-
-
-def _run_case(case: TestCase, lower: bool) -> CaseResult:
-    diags = verify(case.circuit)
-    if diags:
-        first = diags[0]
-        return CaseResult(
-            case.name, "error", f"verify: gate {first.gate_index}: {first.message}"
-        )
-    circuit, _ = resolve_names(case.circuit)
-    if lower:
-        circuit = lower_swaps(circuit)
-        circuit = lower_negative_controls(circuit)
-        circuit = expand_multi_controls(circuit, PassConfig())
+def _run_case(case: TestCase, lowered: bool) -> CaseResult:
     try:
-        bits = _prep_bits(case.circuit, case.prep)
-    except ValueError as e:
+        circuit = (
+            lower(case.circuit, PassConfig()) if lowered else checked(case.circuit)
+        )
+        bits = encode_registers(case.circuit, case.prep)
+    except (CompileError, ValueError) as e:
         return CaseResult(case.name, "error", str(e))
 
     if case.backend is Backend.LOGIC:
@@ -150,7 +112,7 @@ def _run_case(case: TestCase, lower: bool) -> CaseResult:
             out = run_logic(circuit, BasisState(circuit.n_qubits, bits))
         except NonLogicGate as e:
             return CaseResult(case.name, "error", str(e))
-        decoded = _decode_registers(case.circuit, out.bits)
+        decoded = decode_registers(case.circuit, out.bits)
         mismatches = [
             f"expected {label}={want}, actual {label}={decoded.get(label)}"
             for label, want in case.expect_registers.items()
@@ -193,18 +155,21 @@ def run_suite(cases: list[TestCase], lower: bool = False) -> TestReport:
     return TestReport(tuple(_run_case(case, lower) for case in cases))
 
 
-def _parse_assignments(text: str, what: str, line: int) -> dict[str, int]:
+def parse_assignments(text: str) -> dict[str, int]:
+    """Register assignments ``a=3,b=0x5``; each register at most once."""
     out: dict[str, int] = {}
     for part in text.split(","):
         if not part:
             continue
         name, eq, value = part.partition("=")
         if not eq or not name:
-            raise SuiteError(f"bad {what} entry {part!r}", line)
+            raise ValueError(f"bad entry {part!r}")
+        if name in out:
+            raise ValueError(f"register {name!r} assigned twice")
         try:
             out[name] = int(value, 0)
         except ValueError:
-            raise SuiteError(f"bad integer in {what} entry {part!r}", line) from None
+            raise ValueError(f"bad integer in entry {part!r}") from None
     return out
 
 
@@ -246,16 +211,17 @@ def parse_suite(path: str | Path) -> list[TestCase]:
             case = TestCase(name=words[1], circuit=circuit, backend=backend)
             i = 2
             while i < len(words):
-                if words[i] == "prep" and i + 1 < len(words):
-                    case.prep = _parse_assignments(words[i + 1], "prep", lineno)
-                    i += 2
-                elif words[i] == "expect" and i + 1 < len(words):
-                    case.expect_registers = _parse_assignments(
-                        words[i + 1], "expect", lineno
-                    )
-                    i += 2
-                else:
+                if words[i] not in ("prep", "expect") or i + 1 == len(words):
                     raise SuiteError(f"unexpected token {words[i]!r}", lineno)
+                try:
+                    values = parse_assignments(words[i + 1])
+                except ValueError as e:
+                    raise SuiteError(f"{words[i]}: {e}", lineno) from None
+                if words[i] == "prep":
+                    case.prep = values
+                else:
+                    case.expect_registers = values
+                i += 2
             cases.append(case)
         elif keyword == "expect":
             # continuation line: expect amp <index> <re> <im> tol <t>

@@ -181,6 +181,40 @@ def register_bases(c: Circuit) -> dict[str, tuple[int, int]]:
     return out
 
 
+def encode_registers(c: Circuit, values: dict[str, int]) -> int:
+    """Basis index with each named register holding its value, the rest 0."""
+    bases = register_bases(c)
+    bits = 0
+    for label, value in values.items():
+        entry = bases.get(label)
+        if entry is None:
+            raise ValueError(f"prep names unknown register {label!r}")
+        base, size = entry
+        if not 0 <= value < (1 << size):
+            raise ValueError(
+                f"prep {label}={value} does not fit the {size}-qubit register"
+            )
+        bits |= value << base
+    return bits
+
+
+def decode_registers(c: Circuit, bits: int) -> dict[str, int]:
+    """Each named register's value in a basis index, in declaration order."""
+    return {
+        label: (bits >> base) & ((1 << size) - 1)
+        for label, (base, size) in register_bases(c).items()
+    }
+
+
+def index_of(ref: QubitRef, n: int) -> int:
+    """Position of a resolved reference, checked against n qubits."""
+    if not isinstance(ref, Index):
+        raise ValueError(f"unresolved qubit reference {ref}; run resolve_names first")
+    if not 0 <= ref.index < n:
+        raise ValueError(f"qubit index {ref.index} out of range for {n} qubits")
+    return ref.index
+
+
 def is_indexed(c: Circuit) -> bool:
     """True when every qubit reference in the circuit is an Index."""
     for g in c.gates:

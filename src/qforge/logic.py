@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .ir import Circuit, Gate, GateKind, Index, QubitRef
+from .ir import Circuit, Gate, GateKind, index_of
 
 
 class NonLogicGate(Exception):
@@ -47,14 +47,6 @@ class BasisState:
         return (self.bits >> q) & 1
 
 
-def _index_of(ref: QubitRef, n: int) -> int:
-    if not isinstance(ref, Index):
-        raise ValueError(f"unresolved qubit reference {ref}; run resolve_names first")
-    if not 0 <= ref.index < n:
-        raise ValueError(f"qubit index {ref.index} out of range for {n} qubits")
-    return ref.index
-
-
 def _masks(g: Gate, gi: int, n: int) -> tuple:
     """Precompute (is_swap, positive-mask, negative-mask, flip...) for a gate."""
     if g.kind is not GateKind.X and g.kind is not GateKind.SWAP:
@@ -62,16 +54,16 @@ def _masks(g: Gate, gi: int, n: int) -> tuple:
     pos = 0
     neg = 0
     for k in g.controls:
-        q = _index_of(k.qubit, n)
+        q = index_of(k.qubit, n)
         if k.positive:
             pos |= 1 << q
         else:
             neg |= 1 << q
     if g.kind is GateKind.X:
-        t = _index_of(g.targets[0], n)
+        t = index_of(g.targets[0], n)
         return (False, pos, neg, 1 << t)
-    p = _index_of(g.targets[0], n)
-    q = _index_of(g.targets[1], n)
+    p = index_of(g.targets[0], n)
+    q = index_of(g.targets[1], n)
     return (True, pos, neg, p, q, (1 << p) | (1 << q))
 
 
@@ -79,43 +71,31 @@ def run_logic(c: Circuit, state: BasisState) -> BasisState:
     """Run a NOT-family circuit on one basis state.
 
     Per gate, the target bit flips iff every positive control bit is 1
-    and every negative control bit is 0. Gate objects repeated in the
-    circuit (e.g. via ``repeat``) are precomputed once, so million-gate
-    circuits stay cheap.
+    and every negative control bit is 0.
     """
     if state.n_qubits != c.n_qubits:
         raise ValueError(
             f"state has {state.n_qubits} qubits, circuit has {c.n_qubits}"
         )
-    bits = state.bits
-    n = c.n_qubits
-    cache: dict[int, tuple] = {}
-    cache_get = cache.get
-    for gi, g in enumerate(c.gates):
-        op = cache_get(id(g))
-        if op is None:
-            op = _masks(g, gi, n)
-            cache[id(g)] = op
-        if op[0]:
-            _, pos, neg, p, q, pq = op
-            if (bits & pos) == pos and not (bits & neg):
-                if ((bits >> p) ^ (bits >> q)) & 1:
-                    bits ^= pq
-        else:
-            _, pos, neg, flip = op
-            if (bits & pos) == pos and not (bits & neg):
-                bits ^= flip
-    return BasisState(n, bits)
+    return BasisState(c.n_qubits, logic_function(c)(state.bits))
 
 
 def logic_function(c: Circuit) -> Callable[[int], int]:
     """Compile a NOT-family circuit into a plain bits -> bits function.
 
-    Useful when the same circuit is evaluated on many inputs (the
+    Gate objects repeated in the circuit (e.g. via ``repeat``) are
+    precomputed once, so million-gate circuits stay cheap. Useful on its
+    own when the same circuit is evaluated on many inputs (the
     qubit-reduction pass sweeps every free basis value).
     """
     n = c.n_qubits
-    ops = [_masks(g, gi, n) for gi, g in enumerate(c.gates)]
+    cache: dict[int, tuple] = {}
+    ops = []
+    for gi, g in enumerate(c.gates):
+        op = cache.get(id(g))
+        if op is None:
+            op = cache[id(g)] = _masks(g, gi, n)
+        ops.append(op)
 
     def apply(bits: int) -> int:
         for op in ops:

@@ -1,10 +1,12 @@
 """Lowering pipeline from the builder IR down to the integer format.
 
-The pass order is fixed: verify, resolve names, lower swaps, lower
-negative controls, expand multi-controls, emit. Swaps go first so a
-controlled swap turns into controlled NOTs whose (possibly negative)
-controls the next pass still sees; multi-control expansion runs last so
-it only ever meets plain positive controls.
+The pass order is fixed and written out once, in ``lower``: verify and
+resolve names (``checked``), lower swaps, lower negative controls,
+expand multi-controls; ``compile_circuit`` is ``lower`` plus the QP
+encoding. Swaps go first so a controlled swap turns into controlled
+NOTs whose (possibly negative) controls the next pass still sees;
+multi-control expansion runs last so it only ever meets plain positive
+controls.
 
 Every pass is a pure circuit -> circuit function and each is
 idempotent, so reruns are harmless.
@@ -276,13 +278,8 @@ def expand_multi_controls(c: Circuit, cfg: PassConfig) -> Circuit:
     return Circuit(registers, base + pool, tuple(out))
 
 
-def compile_circuit(c: Circuit, cfg: PassConfig | None = None) -> QPProgram:
-    """Run the whole pipeline and produce a QP program.
-
-    Fails fast with a CompileError naming the stage that rejected the
-    circuit.
-    """
-    cfg = cfg or PassConfig()
+def checked(c: Circuit) -> Circuit:
+    """The resolved circuit, or a CompileError naming the first diagnostic."""
     diags = verify(c)
     if diags:
         first = diags[0]
@@ -290,13 +287,27 @@ def compile_circuit(c: Circuit, cfg: PassConfig | None = None) -> QPProgram:
         raise CompileError(
             "verify", f"{len(diags)} error(s); first: {where}{first.message}"
         )
-    resolved, _ = resolve_names(c)
-    lowered = lower_swaps(resolved)
-    lowered = lower_negative_controls(lowered)
+    return resolve_names(c)[0]
+
+
+def lower(c: Circuit, cfg: PassConfig) -> Circuit:
+    """Verify, resolve and lower to swap-free gates with at most
+    max_controls positive controls each.
+
+    Fails fast with a CompileError naming the stage that rejected the
+    circuit.
+    """
+    lowered = lower_negative_controls(lower_swaps(checked(c)))
     try:
-        lowered = expand_multi_controls(lowered, cfg)
+        return expand_multi_controls(lowered, cfg)
     except AncillaGrowthDisabled as e:
         raise CompileError("expand_multi_controls", str(e)) from e
+
+
+def compile_circuit(c: Circuit, cfg: PassConfig | None = None) -> QPProgram:
+    """Lower the circuit and encode it as a QP program."""
+    cfg = cfg or PassConfig()
+    lowered = lower(c, cfg)
     gates = []
     for g in lowered.gates:
         slots = [k.qubit.index for k in g.controls]

@@ -42,24 +42,25 @@ class NonIntegerToken(QPFormatError):
     pass
 
 
-class BadOpcode(QPFormatError):
-    def __init__(self, value: int, gate_index: int | None = None):
-        where = "" if gate_index is None else f" in gate {gate_index}"
-        super().__init__(f"bad opcode {value}{where}")
-        self.value = value
-
-
-class BadIndex(QPFormatError):
-    def __init__(self, message: str, value: int | None = None):
-        super().__init__(message)
-        self.value = value
-
-
 class InvariantViolation(QPFormatError):
     def __init__(self, message: str, gate_index: int | None = None):
         where = "" if gate_index is None else f"gate {gate_index}: "
         super().__init__(where + message)
         self.gate_index = gate_index
+
+
+class BadOpcode(InvariantViolation):
+    def __init__(self, value: int, gate_index: int | None = None):
+        super().__init__(f"bad opcode {value}", gate_index)
+        self.value = value
+
+
+class BadIndex(InvariantViolation):
+    def __init__(
+        self, message: str, value: int | None = None, gate_index: int | None = None
+    ):
+        super().__init__(message, gate_index)
+        self.value = value
 
 
 @dataclass(frozen=True, slots=True)
@@ -76,37 +77,43 @@ class QPProgram:
     gates: tuple[QPGate, ...] = ()
 
 
-def _check_program(p: QPProgram) -> None:
-    if p.n_qubits < 1:
-        raise InvariantViolation(f"n_qubits must be positive, got {p.n_qubits}")
-    if p.max_controls < 2:
+def _check_header(n_qubits: int, max_controls: int) -> None:
+    if n_qubits < 1:
+        raise BadIndex(f"n_qubits must be positive, got {n_qubits}", n_qubits)
+    if max_controls < 2:
+        raise InvariantViolation(f"max_controls must be at least 2, got {max_controls}")
+
+
+def _check_gate(g: QPGate, gi: int, n_qubits: int, max_controls: int) -> None:
+    if g.opcode not in KINDS_BY_OPCODE:
+        raise BadOpcode(g.opcode, gi)
+    if not 0 <= g.target < n_qubits:
+        raise BadIndex(f"target {g.target} out of range", g.target, gi)
+    if len(g.controls) != max_controls:
         raise InvariantViolation(
-            f"max_controls must be at least 2, got {p.max_controls}"
+            f"expected {max_controls} control slots, got {len(g.controls)}", gi
         )
+    seen: set[int] = set()
+    unused = False
+    for v in g.controls:
+        if v == -1:
+            unused = True
+            continue
+        if unused:
+            raise BadIndex("control after a -1 slot", v, gi)
+        if not 0 <= v < n_qubits:
+            raise BadIndex(f"control {v} out of range", v, gi)
+        if v == g.target:
+            raise BadIndex(f"control {v} equals target", v, gi)
+        if v in seen:
+            raise BadIndex(f"duplicate control {v}", v, gi)
+        seen.add(v)
+
+
+def _check_program(p: QPProgram) -> None:
+    _check_header(p.n_qubits, p.max_controls)
     for gi, g in enumerate(p.gates):
-        if g.opcode not in KINDS_BY_OPCODE:
-            raise InvariantViolation(f"bad opcode {g.opcode}", gi)
-        if not 0 <= g.target < p.n_qubits:
-            raise InvariantViolation(f"target {g.target} out of range", gi)
-        if len(g.controls) != p.max_controls:
-            raise InvariantViolation(
-                f"expected {p.max_controls} control slots, got {len(g.controls)}", gi
-            )
-        seen: set[int] = set()
-        unused = False
-        for v in g.controls:
-            if v == -1:
-                unused = True
-                continue
-            if unused:
-                raise InvariantViolation("control after a -1 slot", gi)
-            if not 0 <= v < p.n_qubits:
-                raise InvariantViolation(f"control {v} out of range", gi)
-            if v == g.target:
-                raise InvariantViolation(f"control {v} equals target", gi)
-            if v in seen:
-                raise InvariantViolation(f"duplicate control {v}", gi)
-            seen.add(v)
+        _check_gate(g, gi, p.n_qubits, p.max_controls)
 
 
 def emit_qp(p: QPProgram) -> str:
@@ -129,44 +136,21 @@ def parse_qp(text: str) -> QPProgram:
     if len(values) < 3:
         raise Truncated(f"header needs 3 integers, got {len(values)}")
     n_qubits, n_gates, max_controls = values[0], values[1], values[2]
-    if n_qubits < 1:
-        raise BadIndex(f"n_qubits must be positive, got {n_qubits}", n_qubits)
+    _check_header(n_qubits, max_controls)
     if n_gates < 0:
         raise QPFormatError(f"negative gate count {n_gates}")
-    if max_controls < 2:
-        raise QPFormatError(f"max_controls must be at least 2, got {max_controls}")
     expected = 3 + n_gates * (2 + max_controls)
     if len(values) < expected:
         raise Truncated(f"expected {expected} integers, got {len(values)}")
     if len(values) > expected:
         raise QPFormatError(f"{len(values) - expected} trailing token(s)")
     gates = []
-    pos = 3
+    end = 3
     for gi in range(n_gates):
-        opcode = values[pos]
-        target = values[pos + 1]
-        controls = tuple(values[pos + 2 : pos + 2 + max_controls])
-        pos += 2 + max_controls
-        if opcode not in KINDS_BY_OPCODE:
-            raise BadOpcode(opcode, gi)
-        if not 0 <= target < n_qubits:
-            raise BadIndex(f"target {target} out of range in gate {gi}", target)
-        seen: set[int] = set()
-        unused = False
-        for v in controls:
-            if v == -1:
-                unused = True
-                continue
-            if unused:
-                raise BadIndex(f"control after a -1 slot in gate {gi}", v)
-            if not 0 <= v < n_qubits:
-                raise BadIndex(f"control {v} out of range in gate {gi}", v)
-            if v == target:
-                raise BadIndex(f"control {v} equals target in gate {gi}", v)
-            if v in seen:
-                raise BadIndex(f"duplicate control {v} in gate {gi}", v)
-            seen.add(v)
-        gates.append(QPGate(opcode, target, controls))
+        start, end = end, end + 2 + max_controls
+        g = QPGate(values[start], values[start + 1], tuple(values[start + 2 : end]))
+        _check_gate(g, gi, n_qubits, max_controls)
+        gates.append(g)
     return QPProgram(n_qubits, max_controls, tuple(gates))
 
 

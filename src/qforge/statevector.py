@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind, Index, QubitRef
+from .ir import Circuit, Gate, GateKind, index_of
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -60,14 +60,6 @@ def _indices(n: int) -> np.ndarray:
     return cached
 
 
-def _qubit_index(ref: QubitRef, n: int) -> int:
-    if not isinstance(ref, Index):
-        raise ValueError(f"unresolved qubit reference {ref}; run resolve_names first")
-    if not 0 <= ref.index < n:
-        raise ValueError(f"qubit index {ref.index} out of range for {n} qubits")
-    return ref.index
-
-
 def init_state(n_qubits: int, basis: int = 0) -> StateVector:
     """State vector with amplitude 1 at the given basis index."""
     if n_qubits < 1:
@@ -84,7 +76,7 @@ def init_state(n_qubits: int, basis: int = 0) -> StateVector:
 def _control_mask(idx: np.ndarray, gate: Gate, n: int, base_mask: np.ndarray):
     mask = base_mask
     for k in gate.controls:
-        cq = _qubit_index(k.qubit, n)
+        cq = index_of(k.qubit, n)
         bit = (idx >> cq) & 1
         mask = mask & (bit == (1 if k.positive else 0))
     return mask
@@ -100,7 +92,7 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     if gate.kind is GateKind.SWAP:
         raise UnloweredSwap("SWAP has no 2x2 matrix; lower it or use run()")
     n = state.n_qubits
-    t = _qubit_index(gate.targets[0], n)
+    t = index_of(gate.targets[0], n)
     u = GATE_MATRICES[gate.kind]
     idx = _indices(n)
     mask = _control_mask(idx, gate, n, (idx >> t) & 1 == 0)
@@ -119,8 +111,8 @@ def apply_swap(state: StateVector, gate: Gate) -> StateVector:
     if gate.kind is not GateKind.SWAP:
         raise ValueError(f"not a swap gate: {gate.kind.value}")
     n = state.n_qubits
-    p = _qubit_index(gate.targets[0], n)
-    q = _qubit_index(gate.targets[1], n)
+    p = index_of(gate.targets[0], n)
+    q = index_of(gate.targets[1], n)
     if p == q:
         raise ValueError("swap targets are identical")
     idx = _indices(n)

@@ -1,5 +1,8 @@
 """End-to-end CLI behaviour: outputs, exit codes, atomic writes."""
 import json
+from pathlib import Path
+
+import pytest
 
 from qforge.cli import main
 from qforge.library import fixture_path
@@ -9,6 +12,9 @@ from qforge.source import parse_source
 
 FULLADD = "cuccaro_fulladd4.fqt"
 MODADD = "cuccaro_modadd4_rearranged.fqt"
+# stdout, exit codes and reduce outputs on the bundled fixtures, recorded
+# before the lowering pipeline and register codec were merged
+GOLDEN = json.loads((Path(__file__).parent / "data" / "cli_golden.json").read_text())
 
 
 def write_circuit(tmp_path, name, text):
@@ -107,6 +113,26 @@ class TestSim:
         out = capsys.readouterr().out.strip()
         want = 5 | (14 << 4)
         assert out == format(want, "09b")
+
+    def test_bare_prep_out_of_range_is_user_error(self, capsys):
+        for prep in ("-1", str(1 << 10)):
+            assert main(["sim", fixture_path(FULLADD), f"--prep={prep}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_register_assigned_twice_is_rejected(self, capsys):
+        args = ["sim", fixture_path(FULLADD), "--backend", "logic"]
+        assert main(args + ["--prep", "b=1,b=2"]) == 1
+        assert "twice" in capsys.readouterr().err
+
+    def test_verify_failure_is_one_line(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, "bad.fqt", "qreg q 2\nx q[5]\nx q[6]\n")
+        assert main(["sim", path]) == 1
+        err = capsys.readouterr().err
+        assert err == (
+            "error: verify: 2 error(s); first: gate 0: "
+            "qubit q[5] out of range (register has 2 qubits)\n"
+        )
 
 
 class TestReduce:
@@ -223,6 +249,46 @@ class TestTestSubcommand:
             "case hold prep q=6 expect q=6\n"
         )
         assert main(["test", str(tmp_path / "s.qtest"), "--lower"]) == 0
+
+
+class TestGolden:
+    @pytest.mark.parametrize(
+        "key, args",
+        [
+            ("sim_logic", ["sim", FULLADD, "--backend", "logic", "--prep", "a=3,b=5"]),
+            ("sim_sv", ["sim", FULLADD, "--backend", "sv", "--prep", "a=3,b=5"]),
+            ("test", ["test", "modadd4.qtest"]),
+            ("test_lower", ["test", "modadd4.qtest", "--lower"]),
+        ],
+    )
+    def test_stdout_and_exit_code(self, key, args, capsys):
+        code = main([args[0], fixture_path(args[1]), *args[2:]])
+        assert [code, capsys.readouterr().out] == [
+            GOLDEN["runs"][key]["exit"],
+            GOLDEN["runs"][key]["stdout"],
+        ]
+
+    def test_reduce_outputs(self, tmp_path, capsys):
+        code = main(
+            [
+                "reduce",
+                fixture_path(MODADD),
+                "--qubits",
+                "a3,a2,a1,a0,c",
+                "--values",
+                "00010,00100,00110",
+                "-o",
+                str(tmp_path),
+            ]
+        )
+        assert [code, capsys.readouterr().out] == [
+            GOLDEN["runs"]["reduce"]["exit"],
+            GOLDEN["runs"]["reduce"]["stdout"],
+        ]
+        written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert written == {
+            name: text.encode() for name, text in GOLDEN["reduce_files"].items()
+        }
 
 
 def test_usage_errors_exit_one(capsys):

@@ -8,6 +8,7 @@ from qforge.harness import (
     Backend,
     SuiteError,
     TestCase,
+    parse_assignments,
     parse_suite,
     run_suite,
 )
@@ -192,7 +193,28 @@ class TestParseSuite:
         with pytest.raises(SuiteError, match="sv backend"):
             parse_suite(tmp_path / "s.qtest")
 
+    @pytest.mark.parametrize("words", ["prep q=0,q=1", "expect q=1,q=1"])
+    def test_register_assigned_twice(self, tmp_path, words):
+        (tmp_path / "c.fqt").write_text("qreg q 1\nx q[0]\n")
+        (tmp_path / "s.qtest").write_text(
+            f"circuit c.fqt\nbackend logic\ncase dup {words}\n"
+        )
+        with pytest.raises(SuiteError, match="line 3: .*twice") as info:
+            parse_suite(tmp_path / "s.qtest")
+        assert info.value.line == 3
+
     def test_missing_circuit_file(self, tmp_path):
         (tmp_path / "s.qtest").write_text("circuit nope.fqt\n")
         with pytest.raises(SuiteError, match="cannot read"):
             parse_suite(tmp_path / "s.qtest")
+
+
+class TestParseAssignments:
+    def test_values_and_empty_entries(self):
+        assert parse_assignments("a=3,,b=0x10,") == {"a": 3, "b": 16}
+        assert parse_assignments("") == {}
+
+    @pytest.mark.parametrize("text", ["a", "=3", "a=x", "a=1,a=2"])
+    def test_rejects(self, text):
+        with pytest.raises(ValueError):
+            parse_assignments(text)

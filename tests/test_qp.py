@@ -47,6 +47,7 @@ def test_parse_bad_opcode():
     with pytest.raises(BadOpcode) as info:
         parse_qp("1 1 2  9 0 -1 -1")
     assert info.value.value == 9
+    assert info.value.gate_index == 0
 
 
 def test_parse_control_equals_target():
@@ -72,8 +73,9 @@ def test_parse_errors():
 
 
 def test_emit_validates_invariants():
-    with pytest.raises(InvariantViolation):
+    with pytest.raises(BadOpcode) as info:
         emit_qp(QPProgram(2, 2, (QPGate(9, 0, (-1, -1)),)))
+    assert isinstance(info.value, InvariantViolation)
     with pytest.raises(InvariantViolation):
         emit_qp(QPProgram(2, 2, (QPGate(1, 0, (0, -1)),)))
     with pytest.raises(InvariantViolation):
