@@ -61,6 +61,7 @@ from .passes import (
 from .qp import QPGate, QPProgram, emit_qp, parse_qp
 from .statevector import (
     BasisOutOfRange,
+    StateTooLarge,
     StateVector,
     UnloweredSwap,
     apply_gate,

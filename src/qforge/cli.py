@@ -10,6 +10,8 @@ import sys
 import traceback
 from pathlib import Path
 
+import numpy as np
+
 from .fileio import atomic_write_text
 from .harness import SuiteError, parse_assignments, parse_suite, run_suite
 from .ir import (
@@ -26,7 +28,7 @@ from .passes import CompileError, PassConfig, _resolver, checked, compile_circui
 from .qp import QPFormatError, emit_qp, parse_qp, to_circuit
 from .reduction import ReductionError, generate_kernels, write_kernels
 from .source import ParseError, parse_source
-from .statevector import probabilities, run
+from .statevector import StateTooLarge, probabilities, run
 
 _USER_ERRORS = (
     ParseError,
@@ -36,6 +38,7 @@ _USER_ERRORS = (
     ReductionError,
     NonLogicGate,
     SuiteError,
+    StateTooLarge,
     ValueError,
     OSError,
 )
@@ -120,9 +123,10 @@ def _cmd_sim(args) -> int:
         return 0
     state = run(circuit, prep)
     probs = probabilities(state)
-    order = sorted(range(len(probs)), key=lambda i: (-probs[i], i))
+    # descending probability, ties by ascending index
+    order = np.argsort(-probs, kind="stable")
     shown = 0
-    for i in order:
+    for i in map(int, order):
         if shown >= args.top:
             break
         if probs[i] < 1e-12 and shown > 0:

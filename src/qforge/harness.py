@@ -29,7 +29,7 @@ from .ir import Circuit, decode_registers, encode_registers
 from .logic import BasisState, NonLogicGate, run_logic
 from .passes import CompileError, PassConfig, checked, lower
 from .source import ParseError, parse_source
-from .statevector import run
+from .statevector import StateTooLarge, run
 
 DEFAULT_AMPLITUDE_TOL = 1e-9
 
@@ -122,7 +122,10 @@ def _run_case(case: TestCase, lowered: bool) -> CaseResult:
             return CaseResult(case.name, "fail", "; ".join(mismatches))
         return CaseResult(case.name, "pass")
 
-    state = run(circuit, bits)
+    try:
+        state = run(circuit, bits)
+    except StateTooLarge as e:
+        return CaseResult(case.name, "error", str(e))
     listed = {e.index: e for e in case.expect_amplitudes}
     floor = min(
         (e.tolerance for e in case.expect_amplitudes), default=DEFAULT_AMPLITUDE_TOL

@@ -1,17 +1,30 @@
 """Full state-vector simulator.
 
-Keeps all 2**n complex amplitudes and updates every one of them per
-gate: amplitudes are paired across the target bit, so the pair stride
-is 2**target, and each pair is mixed by the gate's 2x2 matrix. Controls
-(positive or negative) filter which pairs are touched; the index pairs
-are disjoint, which is what would license applying them in parallel.
+Keeps all 2**n complex amplitudes and views them as an n-axis tensor of
+shape (2,)*n, qubit q on axis n-1-q (basis indexing is little-endian
+throughout the toolkit: bit i of a basis index holds qubit i). A gate
+never builds an index or mask array. Each control of polarity v fixes
+its axis to slice(v, v+1), so the amplitudes that fail a control are
+not touched and each extra control halves the work. The target axis
+then splits into a |0> half and a |1> half, and the gate's 2x2 matrix
+mixes the two half views in place:
 
-Basis indexing is little-endian throughout the toolkit: bit i of a
-basis index holds qubit i.
+* X swaps the halves through one half-size temporary;
+* Z, S, SDG, T and TDG scale only the |1> half;
+* H is an add and a subtract written into the halves, and Y a swap
+  with phases, each with one half-size temporary.
+
+A (controlled) SWAP exchanges the (p=1, q=0) and (p=0, q=1) quarter
+views. A one-element slice rather than an integer index keeps every
+selection a view even when controls and targets fix every axis; an
+integer there would make numpy return a scalar copy and lose the write.
+The half views are disjoint, which is what licenses updating their
+elements in parallel.
 """
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +53,10 @@ class UnloweredSwap(Exception):
     """A SWAP gate reached the pairwise 2x2 update kernel."""
 
 
+class StateTooLarge(Exception):
+    """The amplitudes and one kernel temporary exceed physical memory."""
+
+
 @dataclass
 class StateVector:
     n_qubits: int
@@ -49,65 +66,92 @@ class StateVector:
         return StateVector(self.n_qubits, self.amplitudes.copy())
 
 
-_INDEX_CACHE: dict[int, np.ndarray] = {}
-
-
-def _indices(n: int) -> np.ndarray:
-    cached = _INDEX_CACHE.get(n)
-    if cached is None:
-        cached = np.arange(1 << n, dtype=np.int64)
-        _INDEX_CACHE[n] = cached
-    return cached
+# the |1>-half factor of each gate that leaves |0> alone
+_PHASES = {
+    kind: u[1, 1]
+    for kind, u in GATE_MATRICES.items()
+    if u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
+}
 
 
 def init_state(n_qubits: int, basis: int = 0) -> StateVector:
-    """State vector with amplitude 1 at the given basis index."""
+    """State vector with amplitude 1 at the given basis index.
+
+    Raises StateTooLarge, before allocating, when the state plus the
+    half-size temporary of a gate does not fit in physical memory.
+    """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be positive, got {n_qubits}")
     if not 0 <= basis < (1 << n_qubits):
         raise BasisOutOfRange(
             f"basis index {basis} out of range for {n_qubits} qubits"
         )
+    need = 3 * (np.dtype(complex).itemsize << (n_qubits - 1))
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > physical:
+        raise StateTooLarge(
+            f"{n_qubits} qubits need {need} bytes for the state vector; "
+            f"physical memory is {physical} bytes"
+        )
     amp = np.zeros(1 << n_qubits, dtype=complex)
     amp[basis] = 1.0
     return StateVector(n_qubits, amp)
 
 
-def _control_mask(idx: np.ndarray, gate: Gate, n: int, base_mask: np.ndarray):
-    mask = base_mask
+def _views(state: StateVector, gate: Gate, *fixes) -> list[np.ndarray]:
+    """Views of the amplitudes meeting every control, one per fixing."""
+    n = state.n_qubits
+    sel = [slice(None)] * n
     for k in gate.controls:
-        cq = index_of(k.qubit, n)
-        bit = (idx >> cq) & 1
-        mask = mask & (bit == (1 if k.positive else 0))
-    return mask
+        v = 1 if k.positive else 0
+        sel[n - 1 - index_of(k.qubit, n)] = slice(v, v + 1)
+    tensor = state.amplitudes.reshape((2,) * n)
+    views = []
+    for fix in fixes:
+        part = sel[:]
+        for q, v in fix:  # (qubit, value) pairs
+            part[n - 1 - q] = slice(v, v + 1)
+        views.append(tensor[tuple(part)])
+    return views
+
+
+def _exchange(a: np.ndarray, b: np.ndarray) -> None:
+    tmp = a.copy()
+    # a ufunc, not a[...] = b: assignment between views of one buffer
+    # first copies b whole, since numpy only checks their bounds overlap
+    np.positive(b, out=a)
+    b[...] = tmp
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     """Apply one non-SWAP gate in place and return the state.
 
-    For every index j whose target bit is 0 and whose control bits are
-    satisfied, the amplitude pair (j, j + 2**target) is replaced by its
-    image under the gate matrix.
+    Where every control is met, each amplitude pair (|0>, |1>) on the
+    target qubit is replaced by its image under the gate matrix; every
+    other amplitude is left as it is.
     """
     if gate.kind is GateKind.SWAP:
         raise UnloweredSwap("SWAP has no 2x2 matrix; lower it or use run()")
-    n = state.n_qubits
-    t = index_of(gate.targets[0], n)
-    u = GATE_MATRICES[gate.kind]
-    idx = _indices(n)
-    mask = _control_mask(idx, gate, n, (idx >> t) & 1 == 0)
-    j = idx[mask]
-    jp = j | (1 << t)
-    amp = state.amplitudes
-    a = amp[j]
-    b = amp[jp]
-    amp[j] = u[0, 0] * a + u[0, 1] * b
-    amp[jp] = u[1, 0] * a + u[1, 1] * b
+    t = index_of(gate.targets[0], state.n_qubits)
+    lo, hi = _views(state, gate, [(t, 0)], [(t, 1)])
+    if gate.kind is GateKind.X:
+        _exchange(lo, hi)
+    elif gate.kind is GateKind.H:
+        tmp = np.multiply(lo, _SQ2)
+        hi *= _SQ2
+        np.add(tmp, hi, out=lo)
+        np.subtract(tmp, hi, out=hi)
+    elif gate.kind is GateKind.Y:
+        tmp = np.multiply(lo, 1j)
+        np.multiply(hi, -1j, out=lo)
+        hi[...] = tmp
+    else:
+        hi *= _PHASES[gate.kind]
     return state
 
 
 def apply_swap(state: StateVector, gate: Gate) -> StateVector:
-    """Apply a (controlled) SWAP in place as an exact index permutation."""
+    """Apply a (controlled) SWAP in place as an exact amplitude exchange."""
     if gate.kind is not GateKind.SWAP:
         raise ValueError(f"not a swap gate: {gate.kind.value}")
     n = state.n_qubits
@@ -115,22 +159,16 @@ def apply_swap(state: StateVector, gate: Gate) -> StateVector:
     q = index_of(gate.targets[1], n)
     if p == q:
         raise ValueError("swap targets are identical")
-    idx = _indices(n)
-    base = ((idx >> p) & 1 == 1) & ((idx >> q) & 1 == 0)
-    mask = _control_mask(idx, gate, n, base)
-    i = idx[mask]
-    j = i ^ ((1 << p) | (1 << q))
-    amp = state.amplitudes
-    amp[i], amp[j] = amp[j], amp[i]
+    _exchange(*_views(state, gate, [(p, 1), (q, 0)], [(p, 0), (q, 1)]))
     return state
 
 
 def run(c: Circuit, prep: int = 0) -> StateVector:
     """Prepare the given basis state and apply every gate in order.
 
-    SWAP gates are dispatched to the permutation kernel, so both raw
+    SWAP gates are dispatched to the quarter-view exchange, so both raw
     and lowered circuits simulate; everything else goes through the
-    pairwise update.
+    half-view update.
     """
     state = init_state(c.n_qubits, prep)
     for g in c.gates:

@@ -104,6 +104,20 @@ class TestSim:
         assert lines[0].startswith("0 00 0.7071067812")
         assert lines[1].startswith("3 11 0.7071067812")
 
+    def test_sv_top_breaks_probability_ties_by_index(self, tmp_path, capsys):
+        # a[0]=0 leaves 4 states at 1/8; a[0]=1 splits into 8 states at 1/16
+        text = "qreg a 4\nh a[0]\nh a[2]\nh a[3]\nh a[1] a[0]\n"
+        path = write_circuit(tmp_path, "ties.fqt", text)
+        assert main(["sim", path, "--top", "7"]) == 0
+        shown = [int(line.split()[0]) for line in capsys.readouterr().out.splitlines()]
+        assert shown == [0, 4, 8, 12, 1, 3, 5]
+
+    def test_sv_state_too_large_is_user_error(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, "wide.fqt", "qreg a 40\nh a[0]\n")
+        assert main(["sim", path, "--backend", "sv"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 40 qubits need ") and "Traceback" not in err
+
     def test_sim_compiled_qp_file(self, tmp_path, capsys):
         qp = tmp_path / "modadd4.qp"
         main(["compile", fixture_path(MODADD), "-o", str(qp)])

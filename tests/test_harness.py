@@ -92,6 +92,18 @@ class TestRunSuite:
         cases = [adder_case("r", 3, 9, {"b": 12}), adder_case("w", 1, 1, {"b": 3})]
         assert run_suite(cases) == run_suite(cases)
 
+    def test_sv_state_too_large_is_error_and_suite_goes_on(self):
+        wide = TestCase(
+            name="wide",
+            circuit=new_circuit(("q", 40)) + h(Named("q", 0)),
+            backend=Backend.SV,
+        )
+        ok = adder_case("ok", 1, 2, {"b": 3})
+        wide_result, ok_result = run_suite([wide, ok]).results
+        assert wide_result.status == "error"
+        assert "40 qubits need" in wide_result.message
+        assert ok_result.status == "pass"
+
     def test_sv_amplitudes_pass(self):
         case = TestCase(
             name="bell",

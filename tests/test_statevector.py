@@ -1,9 +1,13 @@
 """State-vector backend against dense-matrix and arithmetic oracles."""
+import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named
 from qforge.library import cuccaro_full_add, mod_add
@@ -11,6 +15,7 @@ from qforge.passes import resolve_names
 from qforge.statevector import (
     GATE_MATRICES,
     BasisOutOfRange,
+    StateTooLarge,
     UnloweredSwap,
     apply_gate,
     apply_swap,
@@ -19,7 +24,7 @@ from qforge.statevector import (
     run,
 )
 
-from helpers import dense_unitary, norm, random_indexed_circuit
+from helpers import NON_SWAP_KINDS, dense_unitary, norm, random_indexed_circuit
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -168,3 +173,147 @@ def test_probabilities_sum_to_one_random_state():
     s = init_state(5)
     s.amplitudes[:] = amp
     assert abs(float(probabilities(s).sum()) - 1.0) <= 1e-12
+
+
+def _random_state(rng: random.Random, n: int) -> np.ndarray:
+    amp = np.array([complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(1 << n)])
+    return amp / norm(amp)
+
+
+def _gate(kind: GateKind, qubits, polarities) -> Gate:
+    n_targets = 2 if kind is GateKind.SWAP else 1
+    targets = tuple(Index(q) for q in qubits[:n_targets])
+    controls = tuple(
+        Control(Index(q), p) for q, p in zip(qubits[n_targets:], polarities)
+    )
+    return Gate(kind, targets, controls)
+
+
+def _apply(state, gate: Gate):
+    if gate.kind is GateKind.SWAP:
+        return apply_swap(state, gate)
+    return apply_gate(state, gate)
+
+
+def _check_against_dense(n: int, gate: Gate, amp: np.ndarray) -> None:
+    s = init_state(n)
+    s.amplitudes[:] = amp
+    _apply(s, gate)
+    expected = dense_unitary(Circuit((), n, (gate,))) @ amp
+    np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
+
+
+def test_every_kind_with_mixed_polarity_controls_matches_dense_oracle():
+    rng = random.Random(43)
+    for n in range(1, 8):
+        for kind in GateKind:
+            n_targets = 2 if kind is GateKind.SWAP else 1
+            if n_targets > n:
+                continue
+            for k in range(min(3, n - n_targets) + 1):
+                for polarities in itertools.product((True, False), repeat=k):
+                    qubits = rng.sample(range(n), n_targets + k)
+                    gate = _gate(kind, qubits, polarities)
+                    _check_against_dense(n, gate, _random_state(rng, n))
+
+
+@pytest.mark.parametrize(
+    "n, kind, qubits",
+    [
+        (1, GateKind.X, [0]),
+        (3, GateKind.X, [1, 0, 2]),  # CCX
+        (3, GateKind.SWAP, [0, 2, 1]),  # controlled SWAP
+    ],
+)
+def test_gates_whose_controls_and_targets_fix_every_axis(n, kind, qubits):
+    # every axis is fixed: an integer index there would select a scalar
+    # copy and the gate would be lost
+    rng = random.Random(47)
+    n_controls = len(qubits) - (2 if kind is GateKind.SWAP else 1)
+    for polarities in itertools.product((True, False), repeat=n_controls):
+        gate = _gate(kind, qubits, polarities)
+        amp = _random_state(rng, n)
+        _check_against_dense(n, gate, amp)
+
+
+@st.composite
+def _circuits_and_preps(draw):
+    n = draw(st.integers(1, 6))
+    kinds = list(GateKind) if n >= 2 else NON_SWAP_KINDS
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        n_targets = 2 if kind is GateKind.SWAP else 1
+        k = draw(st.integers(0, min(3, n - n_targets)))
+        qubits = draw(st.permutations(range(n)))[: n_targets + k]
+        polarities = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        gates.append(_gate(kind, qubits, polarities))
+    prep = draw(st.integers(0, (1 << n) - 1))
+    return Circuit((), n, tuple(gates)), prep
+
+
+@settings(max_examples=200, deadline=None)
+@given(_circuits_and_preps())
+def test_run_matches_dense_unitary_property(case):
+    c, prep = case
+    e_prep = np.zeros(1 << c.n_qubits, dtype=complex)
+    e_prep[prep] = 1.0
+    np.testing.assert_allclose(
+        run(c, prep).amplitudes, dense_unitary(c) @ e_prep, rtol=0, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("n", [40, 64])
+def test_init_state_too_large_raises_before_allocating(n):
+    tracemalloc.start()
+    try:
+        with pytest.raises(StateTooLarge):
+            init_state(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 10
+
+
+def test_gates_allocate_no_state_sized_scratch_and_keep_nothing():
+    n = 16
+    itemsize = np.dtype(complex).itemsize
+    state_bytes = itemsize << n
+    # numpy's buffered ufunc iteration over a strided view allocates up to
+    # bufsize elements per operand (at most three here), whatever n is
+    buffers = 3 * np.getbufsize() * itemsize
+    diagonal = {GateKind.Z, GateKind.S, GateKind.SDG, GateKind.T, GateKind.TDG}
+    # numpy's first call of each loop may cache a few bytes; not at n=16
+    warm = init_state(4)
+    for kind in GateKind:
+        for k in range(3):
+            _apply(warm, _gate(kind, [0, 1, 2, 3], [True, False][:k]))
+
+    rng = random.Random(53)
+    s = init_state(n)
+    s.amplitudes[:] = _random_state(rng, n)
+    tracemalloc.start()
+    try:
+        for kind in GateKind:
+            n_targets = 2 if kind is GateKind.SWAP else 1
+            for t in range(n):
+                for k in range(4):
+                    others = [q for q in range(n) if q != t]
+                    qubits = [t] + rng.sample(others, n_targets - 1 + k)
+                    polarities = [rng.random() < 0.5 for _ in range(k)]
+                    gate = _gate(kind, qubits, polarities)
+                    # the controlled subspace, and the part of it moved
+                    # through a temporary
+                    subspace = state_bytes >> k
+                    scratch = 0 if kind in diagonal else subspace >> n_targets
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    _apply(s, gate)
+                    current, peak = tracemalloc.get_traced_memory()
+                    where = f"{kind.value} target {t} with {k} controls"
+                    assert peak - before <= scratch + buffers + (64 << 10), where
+                    assert current - before <= 1 << 10, where
+                    if k == 0 and kind is GateKind.H:
+                        assert peak - before <= state_bytes, where
+    finally:
+        tracemalloc.stop()
