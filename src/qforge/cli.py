@@ -86,8 +86,7 @@ def _cmd_check(args) -> int:
     circuit = parse_source(Path(args.file).read_text())
     diags = verify(circuit)
     for d in diags:
-        where = "" if d.gate_index is None else f"gate {d.gate_index}: "
-        print(f"{d.severity}: {where}{d.message}", file=sys.stderr)
+        print(f"error: gate {d.gate_index}: {d.message}", file=sys.stderr)
     if diags:
         return 1
     print(f"ok: {circuit.n_qubits} qubits, {len(circuit.gates)} gates")

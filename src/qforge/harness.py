@@ -113,6 +113,10 @@ def _run_case(case: TestCase, lowered: bool) -> CaseResult:
         except NonLogicGate as e:
             return CaseResult(case.name, "error", str(e))
         decoded = decode_registers(case.circuit, out.bits)
+        unknown = [label for label in case.expect_registers if label not in decoded]
+        if unknown:
+            message = f"expect names unknown register {unknown[0]!r}"
+            return CaseResult(case.name, "error", message)
         mismatches = [
             f"expected {label}={want}, actual {label}={decoded.get(label)}"
             for label, want in case.expect_registers.items()
@@ -211,21 +215,21 @@ def parse_suite(path: str | Path) -> list[TestCase]:
                 raise SuiteError("case before any circuit line", lineno)
             if len(words) < 2:
                 raise SuiteError("case needs a name", lineno)
-            case = TestCase(name=words[1], circuit=circuit, backend=backend)
-            i = 2
-            while i < len(words):
-                if words[i] not in ("prep", "expect") or i + 1 == len(words):
-                    raise SuiteError(f"unexpected token {words[i]!r}", lineno)
+            given: dict[str, dict[str, int]] = {}
+            for i in range(2, len(words), 2):
+                key = words[i]
+                if key not in ("prep", "expect") or i + 1 == len(words):
+                    raise SuiteError(f"unexpected token {key!r}", lineno)
+                if key in given:
+                    raise SuiteError(f"{key} given twice", lineno)
                 try:
-                    values = parse_assignments(words[i + 1])
+                    given[key] = parse_assignments(words[i + 1])
                 except ValueError as e:
-                    raise SuiteError(f"{words[i]}: {e}", lineno) from None
-                if words[i] == "prep":
-                    case.prep = values
-                else:
-                    case.expect_registers = values
-                i += 2
-            cases.append(case)
+                    raise SuiteError(f"{key}: {e}", lineno) from None
+            if "expect" in given and backend is not Backend.LOGIC:
+                raise SuiteError("register expectations need the logic backend", lineno)
+            prep, expect = given.get("prep", {}), given.get("expect", {})
+            cases.append(TestCase(words[1], circuit, backend, prep, expect))
         elif keyword == "expect":
             # continuation line: expect amp <index> <re> <im> tol <t>
             if not cases:

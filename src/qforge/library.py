@@ -216,20 +216,6 @@ def increment_kernel(width: int, k: int) -> Circuit:
     return out
 
 
-_FIXTURES = (
-    "cuccaro_fulladd4.fqt",
-    "cuccaro_modadd4_original.fqt",
-    "cuccaro_modadd4_rearranged.fqt",
-    "inc4_k1.fqt",
-    "inc4_k2.fqt",
-    "inc4_k3.fqt",
-)
-
-
-def fixture_names() -> tuple[str, ...]:
-    return _FIXTURES
-
-
 def load_fixture(name: str) -> str:
     """Text of a bundled golden circuit or suite file."""
     return (resources.files("qforge") / "fixtures" / name).read_text()

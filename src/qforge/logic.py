@@ -3,9 +3,9 @@
 Tracks a single basis state as one integer bit string (bit i = qubit
 i), so circuits built only from NOT gates with any number of controls
 run in time proportional to the gate count and memory proportional to
-the qubit count. SWAP is accepted and handled as the conditional bit
-exchange it is. Anything else raises NonLogicGate: such circuits need
-the state-vector backend.
+the qubit count. SWAP is accepted and runs as the three CNOT ops it
+lowers to. Anything else raises NonLogicGate: such circuits need the
+state-vector backend.
 
 Negative controls cost nothing here, so they are honored directly with
 no lowering.
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .ir import Circuit, Gate, GateKind, index_of
+from .ir import Circuit, GateKind, index_of
 
 
 class NonLogicGate(Exception):
@@ -43,29 +43,6 @@ class BasisState:
                 f"bits 0x{self.bits:x} out of range for {self.n_qubits} qubits"
             )
 
-    def bit(self, q: int) -> int:
-        return (self.bits >> q) & 1
-
-
-def _masks(g: Gate, gi: int, n: int) -> tuple:
-    """Precompute (is_swap, positive-mask, negative-mask, flip...) for a gate."""
-    if g.kind is not GateKind.X and g.kind is not GateKind.SWAP:
-        raise NonLogicGate(g.kind, gi)
-    pos = 0
-    neg = 0
-    for k in g.controls:
-        q = index_of(k.qubit, n)
-        if k.positive:
-            pos |= 1 << q
-        else:
-            neg |= 1 << q
-    if g.kind is GateKind.X:
-        t = index_of(g.targets[0], n)
-        return (False, pos, neg, 1 << t)
-    p = index_of(g.targets[0], n)
-    q = index_of(g.targets[1], n)
-    return (True, pos, neg, p, q, (1 << p) | (1 << q))
-
 
 def run_logic(c: Circuit, state: BasisState) -> BasisState:
     """Run a NOT-family circuit on one basis state.
@@ -83,31 +60,46 @@ def run_logic(c: Circuit, state: BasisState) -> BasisState:
 def logic_function(c: Circuit) -> Callable[[int], int]:
     """Compile a NOT-family circuit into a plain bits -> bits function.
 
+    Every gate becomes ``(mask, want, flip)`` ops: ``flip`` applies when
+    ``bits & mask == want``. A SWAP(p, q) becomes CX(p->q), CX(q->p),
+    CX(p->q), each carrying the swap's controls, and SWAP(p, p) becomes
+    nothing. Gates are taken as ``verify`` accepts them: a target reused
+    as a control or a contradictory control pair has no defined meaning.
     Gate objects repeated in the circuit (e.g. via ``repeat``) are
     precomputed once, so million-gate circuits stay cheap. Useful on its
     own when the same circuit is evaluated on many inputs (the
     qubit-reduction pass sweeps every free basis value).
     """
     n = c.n_qubits
+    x, swap = GateKind.X, GateKind.SWAP  # enum attribute lookups are slow
     cache: dict[int, tuple] = {}
-    ops = []
+    ops: list[tuple[int, int, int]] = []
     for gi, g in enumerate(c.gates):
-        op = cache.get(id(g))
-        if op is None:
-            op = cache[id(g)] = _masks(g, gi, n)
-        ops.append(op)
+        gate_ops = cache.get(id(g))
+        if gate_ops is None:
+            kind = g.kind
+            if kind is not x and kind is not swap:
+                raise NonLogicGate(kind, gi)
+            mask = want = 0
+            for k in g.controls:
+                bit = 1 << index_of(k.qubit, n)
+                mask |= bit
+                if k.positive:
+                    want |= bit
+            p = 1 << index_of(g.targets[0], n)
+            if kind is x:
+                gate_ops = ((mask, want, p),)
+            else:
+                q = 1 << index_of(g.targets[1], n)
+                pq = (mask | p, want | p, q)
+                gate_ops = (pq, (mask | q, want | q, p), pq) if p != q else ()
+            cache[id(g)] = gate_ops
+        ops += gate_ops
 
     def apply(bits: int) -> int:
-        for op in ops:
-            if op[0]:
-                _, pos, neg, p, q, pq = op
-                if (bits & pos) == pos and not (bits & neg):
-                    if ((bits >> p) ^ (bits >> q)) & 1:
-                        bits ^= pq
-            else:
-                _, pos, neg, flip = op
-                if (bits & pos) == pos and not (bits & neg):
-                    bits ^= flip
+        for mask, want, flip in ops:
+            if bits & mask == want:
+                bits ^= flip
         return bits
 
     return apply

@@ -14,6 +14,7 @@ idempotent, so reruns are harmless.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .ir import (
     Circuit,
@@ -24,7 +25,7 @@ from .ir import (
     QubitRef,
     register_bases,
 )
-from .qp import OPCODES, QPGate, QPProgram
+from .qp import QPProgram, from_circuit
 
 
 class AncillaGrowthDisabled(Exception):
@@ -59,8 +60,7 @@ class PassConfig:
 
 @dataclass(frozen=True)
 class Diagnostic:
-    severity: str  # currently always "error"
-    gate_index: int | None
+    gate_index: int
     message: str
 
 
@@ -87,6 +87,49 @@ def _resolver(c: Circuit):
     return resolve
 
 
+def _resolve(c: Circuit) -> tuple[list[Gate | None], list[Diagnostic]]:
+    """The one walk behind verify, resolve_names and checked.
+
+    Returns every gate with its references indexed (None for a gate
+    with an unresolvable reference) and the well-formedness diagnostics
+    in gate order; a broken gate's first diagnostic names its first
+    unresolvable reference.
+    """
+    resolve = _resolver(c)
+    # resolved references repeat across gates; build each one once
+    index = cache(Index)
+    control = cache(lambda q, positive: Control(index(q), positive))
+    gates: list[Gate | None] = []
+    diags: list[Diagnostic] = []
+    for gi, g in enumerate(c.gates):
+        targets = [resolve(t) for t in g.targets]
+        controls = [resolve(k.qubit) for k in g.controls]
+        refs = targets + controls
+        if str in map(type, refs):
+            diags.extend(Diagnostic(gi, r) for r in refs if isinstance(r, str))
+            gates.append(None)
+            continue
+        if g.kind is GateKind.SWAP and targets[0] == targets[1]:
+            diags.append(
+                Diagnostic(gi, f"swap targets are identical (qubit {targets[0]})")
+            )
+        polarities = [k.positive for k in g.controls]
+        seen: dict[int, bool] = {}
+        for q, positive in zip(controls, polarities):
+            if q in targets:
+                diags.append(Diagnostic(gi, f"target qubit {q} used as a control"))
+            elif q not in seen:
+                seen[q] = positive
+            elif seen[q] == positive:
+                diags.append(Diagnostic(gi, f"duplicate control on qubit {q}"))
+            else:
+                both = f"qubit {q} is both a positive and a negative control"
+                diags.append(Diagnostic(gi, both))
+        indexed_controls = tuple(map(control, controls, polarities))
+        gates.append(Gate(g.kind, tuple(map(index, targets)), indexed_controls))
+    return gates, diags
+
+
 def verify(c: Circuit) -> list[Diagnostic]:
     """Well-formedness diagnostics; an empty list means the circuit is clean.
 
@@ -94,55 +137,7 @@ def verify(c: Circuit) -> list[Diagnostic]:
     controls, duplicate or contradictory controls, and swaps whose two
     targets coincide.
     """
-    resolve = _resolver(c)
-    diags: list[Diagnostic] = []
-    for gi, g in enumerate(c.gates):
-        broken = False
-        targets: list[int] = []
-        for t in g.targets:
-            r = resolve(t)
-            if isinstance(r, str):
-                diags.append(Diagnostic("error", gi, r))
-                broken = True
-            else:
-                targets.append(r)
-        controls: list[tuple[int, bool]] = []
-        for k in g.controls:
-            r = resolve(k.qubit)
-            if isinstance(r, str):
-                diags.append(Diagnostic("error", gi, r))
-                broken = True
-            else:
-                controls.append((r, k.positive))
-        if broken:
-            continue
-        if g.kind is GateKind.SWAP and targets[0] == targets[1]:
-            diags.append(
-                Diagnostic("error", gi, f"swap targets are identical (qubit {targets[0]})")
-            )
-        seen: dict[int, bool] = {}
-        for q, positive in controls:
-            if q in targets:
-                diags.append(
-                    Diagnostic("error", gi, f"target qubit {q} used as a control")
-                )
-                continue
-            if q in seen:
-                if seen[q] == positive:
-                    diags.append(
-                        Diagnostic("error", gi, f"duplicate control on qubit {q}")
-                    )
-                else:
-                    diags.append(
-                        Diagnostic(
-                            "error",
-                            gi,
-                            f"qubit {q} is both a positive and a negative control",
-                        )
-                    )
-                continue
-            seen[q] = positive
-    return diags
+    return _resolve(c)[1]
 
 
 def resolve_names(c: Circuit) -> tuple[Circuit, dict[tuple[str, int], int]]:
@@ -151,31 +146,19 @@ def resolve_names(c: Circuit) -> tuple[Circuit, dict[tuple[str, int], int]]:
     Registers map to indices in declaration order, offset-ascending.
     Returns the indexed circuit together with the full mapping table
     (label, offset) -> index. Already-indexed circuits pass through
-    unchanged.
+    unchanged. Raises ValueError naming the first unresolvable
+    reference; other diagnostics are verify's business.
     """
-    bases = register_bases(c)
+    gates, diags = _resolve(c)
+    for d in diags:
+        if gates[d.gate_index] is None:
+            raise ValueError(d.message)
     table = {
         (label, off): base + off
-        for label, (base, size) in bases.items()
+        for label, (base, size) in register_bases(c).items()
         for off in range(size)
     }
-    resolve = _resolver(c)
-
-    def conv(ref: QubitRef) -> Index:
-        r = resolve(ref)
-        if isinstance(r, str):
-            raise ValueError(r)
-        return Index(r)
-
-    gates = tuple(
-        Gate(
-            g.kind,
-            tuple(conv(t) for t in g.targets),
-            tuple(Control(conv(k.qubit), k.positive) for k in g.controls),
-        )
-        for g in c.gates
-    )
-    return Circuit(c.registers, c.n_qubits, gates), table
+    return Circuit(c.registers, c.n_qubits, tuple(gates)), table
 
 
 def lower_swaps(c: Circuit) -> Circuit:
@@ -280,14 +263,14 @@ def expand_multi_controls(c: Circuit, cfg: PassConfig) -> Circuit:
 
 def checked(c: Circuit) -> Circuit:
     """The resolved circuit, or a CompileError naming the first diagnostic."""
-    diags = verify(c)
+    gates, diags = _resolve(c)
     if diags:
         first = diags[0]
-        where = "" if first.gate_index is None else f"gate {first.gate_index}: "
         raise CompileError(
-            "verify", f"{len(diags)} error(s); first: {where}{first.message}"
+            "verify",
+            f"{len(diags)} error(s); first: gate {first.gate_index}: {first.message}",
         )
-    return resolve_names(c)[0]
+    return Circuit(c.registers, c.n_qubits, tuple(gates))
 
 
 def lower(c: Circuit, cfg: PassConfig) -> Circuit:
@@ -307,10 +290,4 @@ def lower(c: Circuit, cfg: PassConfig) -> Circuit:
 def compile_circuit(c: Circuit, cfg: PassConfig | None = None) -> QPProgram:
     """Lower the circuit and encode it as a QP program."""
     cfg = cfg or PassConfig()
-    lowered = lower(c, cfg)
-    gates = []
-    for g in lowered.gates:
-        slots = [k.qubit.index for k in g.controls]
-        slots.extend([-1] * (cfg.max_controls - len(slots)))
-        gates.append(QPGate(OPCODES[g.kind], g.targets[0].index, tuple(slots)))
-    return QPProgram(lowered.n_qubits, cfg.max_controls, tuple(gates))
+    return from_circuit(lower(c, cfg), cfg.max_controls)

@@ -9,10 +9,14 @@ consumed by a hardware host.
 
 Opcodes: 1=x 2=y 3=z 4=h 5=s 6=sdg 7=t 8=tdg. SWAP has no opcode on
 purpose; it must be lowered before a program can be emitted.
+
+``from_circuit`` and ``to_circuit`` are the codec to and from circuits;
+a ``QPProgram`` is checked once, when it is built.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .ir import Circuit, Control, Gate, GateKind, Index
 
@@ -72,9 +76,16 @@ class QPGate:
 
 @dataclass(frozen=True, slots=True)
 class QPProgram:
+    """A QP program; the constructor checks the header and every record."""
+
     n_qubits: int
     max_controls: int
     gates: tuple[QPGate, ...] = ()
+
+    def __post_init__(self) -> None:
+        _check_header(self.n_qubits, self.max_controls)
+        for gi, g in enumerate(self.gates):
+            _check_gate(g, gi, self.n_qubits, self.max_controls)
 
 
 def _check_header(n_qubits: int, max_controls: int) -> None:
@@ -110,15 +121,23 @@ def _check_gate(g: QPGate, gi: int, n_qubits: int, max_controls: int) -> None:
         seen.add(v)
 
 
-def _check_program(p: QPProgram) -> None:
-    _check_header(p.n_qubits, p.max_controls)
-    for gi, g in enumerate(p.gates):
-        _check_gate(g, gi, p.n_qubits, p.max_controls)
+def from_circuit(c: Circuit, max_controls: int) -> QPProgram:
+    """Encode a lowered circuit: indexed, swap-free, with at most
+    max_controls positive controls per gate. Inverse of to_circuit."""
+    pad = (-1,) * max_controls
+    gates = []
+    for gi, g in enumerate(c.gates):
+        opcode = OPCODES.get(g.kind)
+        slots = tuple(k.qubit.index for k in g.controls if k.positive)
+        if opcode is None or len(slots) < len(g.controls):
+            raise InvariantViolation("swaps and negative controls need lowering", gi)
+        slots += pad[len(slots):]
+        gates.append(QPGate(opcode, g.targets[0].index, slots))
+    return QPProgram(c.n_qubits, max_controls, tuple(gates))
 
 
 def emit_qp(p: QPProgram) -> str:
     """Serialize a program; deterministic byte-for-byte."""
-    _check_program(p)
     parts = [f"{p.n_qubits} {len(p.gates)} {p.max_controls}"]
     for g in p.gates:
         parts.append(" ".join(str(v) for v in (g.opcode, g.target, *g.controls)))
@@ -126,7 +145,7 @@ def emit_qp(p: QPProgram) -> str:
 
 
 def parse_qp(text: str) -> QPProgram:
-    """Inverse of emit_qp on its image; validates every invariant."""
+    """Inverse of emit_qp on its image; QPProgram checks the records."""
     values = []
     for tok in text.split():
         try:
@@ -139,29 +158,28 @@ def parse_qp(text: str) -> QPProgram:
     _check_header(n_qubits, max_controls)
     if n_gates < 0:
         raise QPFormatError(f"negative gate count {n_gates}")
-    expected = 3 + n_gates * (2 + max_controls)
+    width = 2 + max_controls
+    expected = 3 + n_gates * width
     if len(values) < expected:
         raise Truncated(f"expected {expected} integers, got {len(values)}")
     if len(values) > expected:
         raise QPFormatError(f"{len(values) - expected} trailing token(s)")
-    gates = []
-    end = 3
-    for gi in range(n_gates):
-        start, end = end, end + 2 + max_controls
-        g = QPGate(values[start], values[start + 1], tuple(values[start + 2 : end]))
-        _check_gate(g, gi, n_qubits, max_controls)
-        gates.append(g)
-    return QPProgram(n_qubits, max_controls, tuple(gates))
+    gates = tuple(
+        QPGate(values[i], values[i + 1], tuple(values[i + 2 : i + width]))
+        for i in range(3, expected, width)
+    )
+    return QPProgram(n_qubits, max_controls, gates)
 
 
 def to_circuit(p: QPProgram) -> Circuit:
     """View a program as an anonymous indexed circuit (for simulation)."""
-    _check_program(p)
+    index = cache(Index)  # one reference object per qubit, shared by gates
+    control = cache(lambda v: Control(index(v), True))
     gates = tuple(
         Gate(
             KINDS_BY_OPCODE[g.opcode],
-            (Index(g.target),),
-            tuple(Control(Index(v), True) for v in g.controls if v != -1),
+            (index(g.target),),
+            tuple(control(v) for v in g.controls if v != -1),
         )
         for g in p.gates
     )

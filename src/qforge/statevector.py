@@ -62,9 +62,6 @@ class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
 
 # the |1>-half factor of each gate that leaves |0> alone
 _PHASES = {

@@ -65,6 +65,11 @@ class TestRunSuite:
         (res,) = run_suite([case]).results
         assert res.status == "error"
 
+    def test_expect_of_undeclared_register_is_error(self):
+        (res,) = run_suite([adder_case("typo", 1, 2, {"bb": 1})]).results
+        assert res.status == "error"
+        assert "unknown register 'bb'" in res.message
+
     def test_bad_prep_is_error(self):
         (res,) = run_suite(
             [
@@ -214,6 +219,29 @@ class TestParseSuite:
         with pytest.raises(SuiteError, match="line 3: .*twice") as info:
             parse_suite(tmp_path / "s.qtest")
         assert info.value.line == 3
+
+    @pytest.mark.parametrize(
+        "words",
+        ["prep q=1 prep q=0", "expect q=1 expect q=0", "prep q=0 expect q=1 prep q=1"],
+    )
+    def test_keyword_given_twice(self, tmp_path, words):
+        (tmp_path / "c.fqt").write_text("qreg q 1\nx q[0]\n")
+        (tmp_path / "s.qtest").write_text(
+            f"circuit c.fqt\nbackend logic\ncase dup {words}\n"
+        )
+        with pytest.raises(SuiteError, match="line 3: .*given twice") as info:
+            parse_suite(tmp_path / "s.qtest")
+        assert info.value.line == 3
+
+    def test_register_expectation_requires_logic(self, tmp_path):
+        (tmp_path / "c.fqt").write_text("qreg q 1\nx q[0]\n")
+        (tmp_path / "s.qtest").write_text(
+            "circuit c.fqt\nbackend sv\ncase a prep q=0 expect q=1\n"
+        )
+        with pytest.raises(
+            SuiteError, match="line 3: register expectations need the logic backend"
+        ):
+            parse_suite(tmp_path / "s.qtest")
 
     def test_missing_circuit_file(self, tmp_path):
         (tmp_path / "s.qtest").write_text("circuit nope.fqt\n")

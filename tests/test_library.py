@@ -1,5 +1,6 @@
 """Adder blocks and increment kernels against classical arithmetic."""
 import itertools
+from importlib import resources
 
 import pytest
 
@@ -9,7 +10,6 @@ from qforge.library import (
     DuplicateOperand,
     KOutOfRange,
     cuccaro_full_add,
-    fixture_names,
     full_add,
     increment_kernel,
     load_fixture,
@@ -21,6 +21,12 @@ from qforge.library import (
 from qforge.logic import BasisState, logic_function, run_logic
 from qforge.passes import resolve_names, verify
 from qforge.source import parse_source, print_source
+
+
+def fixture_names() -> set[str]:
+    """Every bundled .fqt file, whether or not a builder produces it."""
+    directory = resources.files("qforge") / "fixtures"
+    return {f.name for f in directory.iterdir() if f.name.endswith(".fqt")}
 
 
 def bits_of(value: int, base: int, size: int) -> int:

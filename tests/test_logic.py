@@ -4,12 +4,14 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, repeat
 from qforge.logic import BasisState, NonLogicGate, logic_function, run_logic
 from qforge.statevector import probabilities, run
 
-from helpers import random_x_circuit
+from helpers import dense_unitary, random_x_circuit
 
 
 def test_single_not():
@@ -113,3 +115,38 @@ def test_large_repeat_scales_linearly():
     elapsed = time.monotonic() - start
     assert 0 <= out.bits < (1 << 64)
     assert elapsed < 2.0
+
+
+@st.composite
+def _not_family_circuits(draw):
+    """X and SWAP gates with 0-3 mixed-polarity controls, some objects repeated."""
+    n = draw(st.integers(1, 6))
+    kinds = [GateKind.X, GateKind.SWAP] if n >= 2 else [GateKind.X]
+    gates = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(kinds))
+        n_targets = 2 if kind is GateKind.SWAP else 1
+        k = draw(st.integers(0, min(3, n - n_targets)))
+        qubits = draw(st.permutations(range(n)))[: n_targets + k]
+        polarities = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        targets = tuple(Index(q) for q in qubits[:n_targets])
+        controls = tuple(
+            Control(Index(q), v) for q, v in zip(qubits[n_targets:], polarities)
+        )
+        gates.append(Gate(kind, targets, controls))
+    return Circuit((), n, tuple(gates) * draw(st.integers(1, 2)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_not_family_circuits())
+def test_logic_function_matches_dense_unitary_property(c):
+    f = logic_function(c)
+    u = dense_unitary(c)
+    for v in range(1 << c.n_qubits):
+        assert u[f(v), v] == 1
+
+
+def test_swap_of_a_qubit_with_itself_changes_nothing():
+    g = Gate(GateKind.SWAP, (Index(0), Index(0)), (Control(Index(1)),))
+    c = Circuit((), 2, (g,))
+    assert [logic_function(c)(v) for v in range(4)] == [0, 1, 2, 3]

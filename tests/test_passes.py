@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforge.ir import (
     Circuit,
@@ -20,6 +22,7 @@ from qforge.passes import (
     AncillaGrowthDisabled,
     CompileError,
     PassConfig,
+    checked,
     compile_circuit,
     expand_multi_controls,
     lower_negative_controls,
@@ -335,3 +338,57 @@ class TestCompile:
 def test_pass_config_validation():
     with pytest.raises(ValueError):
         PassConfig(max_controls=1)
+
+
+@st.composite
+def _named_circuits(draw):
+    """Named circuits with some unresolvable references, duplicate and
+    contradictory controls, targets reused as controls and identical
+    swap targets. Returns the circuit and, for the first unresolvable
+    reference in gate order (targets, then controls), a fragment of its
+    message, or None when every reference resolves."""
+    sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+    registers = tuple(zip("abc", sizes))
+    n = sum(sizes) + draw(st.integers(0, 2))
+    good = [Named(label, i) for label, size in registers for i in range(size)]
+    good += [Index(i) for i in range(n)]
+    bad = {Named("zz", 0): "'zz'", Index(n): f"index {n} "}
+    for label, size in registers:
+        bad[Named(label, size)] = f"{label}[{size}]"
+    refs = st.sampled_from(good * 4 + list(bad))
+    gates = []
+    first_bad = None
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from([GateKind.X, GateKind.H, GateKind.SWAP]))
+        targets = tuple(draw(refs) for _ in range(2 if kind is GateKind.SWAP else 1))
+        controls = tuple(
+            Control(q, draw(st.booleans()))
+            for q in draw(st.lists(refs, max_size=3))
+        )
+        for q in targets + tuple(k.qubit for k in controls):
+            if first_bad is None and q in bad:
+                first_bad = bad[q]
+        gates.append(Gate(kind, targets, controls))
+    return Circuit(registers, n, tuple(gates)), first_bad
+
+
+@settings(max_examples=300, deadline=None)
+@given(_named_circuits())
+def test_checked_verify_and_resolve_names_agree(case):
+    c, first_bad = case
+    diags = verify(c)
+    if first_bad is None:
+        resolved, _ = resolve_names(c)
+    else:
+        with pytest.raises(ValueError) as info:
+            resolve_names(c)
+        assert first_bad in str(info.value)
+        assert diags
+    if diags:
+        with pytest.raises(CompileError) as info:
+            checked(c)
+        assert info.value.pass_name == "verify"
+        first = f"{len(diags)} error(s); first: gate {diags[0].gate_index}: "
+        assert first in str(info.value)
+    else:
+        assert checked(c) == resolved

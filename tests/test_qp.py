@@ -2,7 +2,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from qforge.ir import Circuit, Control, Gate, GateKind, Index
 from qforge.library import mod_add
 from qforge.passes import PassConfig, compile_circuit
 from qforge.qp import (
@@ -15,6 +18,7 @@ from qforge.qp import (
     QPProgram,
     Truncated,
     emit_qp,
+    from_circuit,
     parse_qp,
     to_circuit,
 )
@@ -139,9 +143,80 @@ def test_compiled_random_circuits_satisfy_invariants():
         parse_qp(emit_qp(program))  # emits and validates cleanly
 
 
+def test_from_circuit_rejects_unlowered_gates():
+    cx = Gate(GateKind.X, (Index(0),), (Control(Index(1)),))
+    for bad in (
+        Gate(GateKind.SWAP, (Index(0), Index(1))),
+        Gate(GateKind.X, (Index(0),), (Control(Index(1), False),)),
+    ):
+        with pytest.raises(InvariantViolation) as info:
+            from_circuit(Circuit((), 2, (cx, bad)), 2)
+        assert info.value.gate_index == 1
+    assert to_circuit(from_circuit(Circuit((), 2, (cx,)), 2)).gates == (cx,)
+
+
 def test_to_circuit_shape():
     p = parse_qp("3 2 2  4 0 -1 -1  1 2 0 -1")
     c = to_circuit(p)
     assert c.n_qubits == 3
     assert len(c.gates) == 2
     assert c.gates[1].controls[0].qubit.index == 0
+
+
+@st.composite
+def _programs(draw, min_qubits=1, min_gates=0):
+    n = draw(st.integers(min_qubits, 12))
+    m = draw(st.integers(2, 4))
+    gates = []
+    for _ in range(draw(st.integers(min_gates, 12))):
+        k = draw(st.integers(0, min(m, n - 1)))
+        qs = draw(st.permutations(range(n)))[: 1 + k]
+        controls = tuple(qs[1:]) + (-1,) * (m - k)
+        gates.append(QPGate(draw(st.integers(1, 8)), qs[0], controls))
+    return QPProgram(n, m, tuple(gates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_programs())
+def test_round_trip_property(p):
+    assert parse_qp(emit_qp(p)) == p
+
+
+def _break(g: QPGate, how: str, n: int) -> QPGate:
+    """One record made invalid in a way the QP text can still express."""
+    m = len(g.controls)
+    other = (g.target + 1) % n
+    if how == "opcode":
+        return QPGate(9, g.target, g.controls)
+    if how == "target":
+        return QPGate(g.opcode, n, g.controls)
+    if how == "control_range":
+        return QPGate(g.opcode, g.target, (n,) + g.controls[1:])
+    if how == "control_is_target":
+        return QPGate(g.opcode, g.target, (g.target,) + g.controls[1:])
+    if how == "duplicate":
+        return QPGate(g.opcode, g.target, (other, other) + (-1,) * (m - 2))
+    return QPGate(g.opcode, g.target, (-1,) * (m - 1) + (other,))  # after -1
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _programs(min_qubits=2, min_gates=1),
+    st.data(),
+    st.sampled_from(
+        ["opcode", "target", "control_range", "control_is_target", "duplicate", "after"]
+    ),
+)
+def test_broken_record_fails_alike_built_or_parsed(p, data, how):
+    gi = data.draw(st.integers(0, len(p.gates) - 1))
+    gates = list(p.gates)
+    gates[gi] = _break(gates[gi], how, p.n_qubits)
+    with pytest.raises(InvariantViolation) as built:
+        QPProgram(p.n_qubits, p.max_controls, tuple(gates))
+    values = [p.n_qubits, len(gates), p.max_controls]
+    for g in gates:
+        values += [g.opcode, g.target, *g.controls]
+    with pytest.raises(InvariantViolation) as parsed:
+        parse_qp(" ".join(map(str, values)))
+    assert type(built.value) is type(parsed.value)
+    assert built.value.gate_index == parsed.value.gate_index == gi
