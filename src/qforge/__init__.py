@@ -47,7 +47,6 @@ from .ir import (
 )
 from .source import ParseError, UndeclaredRegister, UnknownGate, parse_source, print_source
 from .passes import (
-    AncillaGrowthDisabled,
     CompileError,
     Diagnostic,
     PassConfig,

@@ -65,10 +65,11 @@ def logic_function(c: Circuit) -> Callable[[int], int]:
     CX(p->q), each carrying the swap's controls, and SWAP(p, p) becomes
     nothing. Gates are taken as ``verify`` accepts them: a target reused
     as a control or a contradictory control pair has no defined meaning.
-    Gate objects repeated in the circuit (e.g. via ``repeat``) are
-    precomputed once, so million-gate circuits stay cheap. Useful on its
-    own when the same circuit is evaluated on many inputs (the
-    qubit-reduction pass sweeps every free basis value).
+    Gate objects repeated in the circuit (via ``repeat``, or
+    ``qp.to_circuit`` on repeated records) are precomputed once, so
+    million-gate circuits stay cheap. Useful on its own when the same
+    circuit is evaluated on many inputs (the qubit-reduction pass sweeps
+    every free basis value).
     """
     n = c.n_qubits
     x, swap = GateKind.X, GateKind.SWAP  # enum attribute lookups are slow

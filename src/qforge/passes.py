@@ -28,10 +28,6 @@ from .ir import (
 from .qp import QPProgram, from_circuit
 
 
-class AncillaGrowthDisabled(Exception):
-    """Expansion needs workspace qubits but growing the register is off."""
-
-
 class CompileError(Exception):
     """A pipeline stage failed; carries the stage name."""
 
@@ -49,7 +45,6 @@ class PassConfig:
     """
 
     max_controls: int = 2
-    allow_ancilla_growth: bool = True
 
     def __post_init__(self) -> None:
         if self.max_controls < 2:
@@ -229,10 +224,6 @@ def expand_multi_controls(c: Circuit, cfg: PassConfig) -> Circuit:
     pool = max((len(g.controls) - m for g in c.gates), default=0)
     if pool <= 0:
         return c
-    if not cfg.allow_ancilla_growth:
-        raise AncillaGrowthDisabled(
-            f"{pool} ancilla qubit(s) required but ancilla growth is disabled"
-        )
     base = c.n_qubits
     registers = c.registers
     if c.register_span == c.n_qubits:
@@ -277,14 +268,10 @@ def lower(c: Circuit, cfg: PassConfig) -> Circuit:
     """Verify, resolve and lower to swap-free gates with at most
     max_controls positive controls each.
 
-    Fails fast with a CompileError naming the stage that rejected the
-    circuit.
+    Raises checked's CompileError when verify rejects the circuit.
     """
     lowered = lower_negative_controls(lower_swaps(checked(c)))
-    try:
-        return expand_multi_controls(lowered, cfg)
-    except AncillaGrowthDisabled as e:
-        raise CompileError("expand_multi_controls", str(e)) from e
+    return expand_multi_controls(lowered, cfg)
 
 
 def compile_circuit(c: Circuit, cfg: PassConfig | None = None) -> QPProgram:

@@ -3,9 +3,10 @@
 A program is a plain list of decimal integers: a three-value header
 ``n_qubits n_gates max_controls`` followed by one fixed-width record
 per gate, ``opcode target c1 .. cM`` with -1 marking unused control
-slots. Any amount of ASCII whitespace separates tokens. There are no
-strings and no floats, so the file is trivially diffable and trivially
-consumed by a hardware host.
+slots. Every token is ASCII ``-?[0-9]+``, and any amount of ASCII
+whitespace separates tokens. There are no strings and no floats, so
+the file is trivially diffable and trivially consumed by a hardware
+host.
 
 Opcodes: 1=x 2=y 3=z 4=h 5=s 6=sdg 7=t 8=tdg. SWAP has no opcode on
 purpose; it must be lowered before a program can be emitted.
@@ -15,6 +16,7 @@ a ``QPProgram`` is checked once, when it is built.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cache
 
@@ -32,6 +34,11 @@ OPCODES: dict[GateKind, int] = {
 }
 
 KINDS_BY_OPCODE: dict[int, GateKind] = {v: k for k, v in OPCODES.items()}
+
+# Tokens are ASCII -?[0-9]+ between ASCII whitespace: one pass checks
+# the characters, and int() then rejects a misplaced '-'.
+_QP_CHARS = re.compile(r"[0-9\s-]*", re.ASCII)
+_QP_TOKEN = re.compile(r"\S+", re.ASCII)
 
 
 class QPFormatError(Exception):
@@ -146,8 +153,11 @@ def emit_qp(p: QPProgram) -> str:
 
 def parse_qp(text: str) -> QPProgram:
     """Inverse of emit_qp on its image; QPProgram checks the records."""
+    if not _QP_CHARS.fullmatch(text):
+        bad = next(t for t in _QP_TOKEN.findall(text) if not _QP_CHARS.fullmatch(t))
+        raise NonIntegerToken(f"not an integer: {bad!r}")
     values = []
-    for tok in text.split():
+    for tok in text.split():  # only ASCII whitespace is left to split at
         try:
             values.append(int(tok))
         except ValueError:
@@ -173,14 +183,14 @@ def parse_qp(text: str) -> QPProgram:
 
 def to_circuit(p: QPProgram) -> Circuit:
     """View a program as an anonymous indexed circuit (for simulation)."""
-    index = cache(Index)  # one reference object per qubit, shared by gates
+    # one object per qubit reference and per distinct record, shared by
+    # every gate that repeats it (logic_function builds masks per object)
+    index = cache(Index)
     control = cache(lambda v: Control(index(v), True))
-    gates = tuple(
-        Gate(
-            KINDS_BY_OPCODE[g.opcode],
-            (index(g.target),),
-            tuple(control(v) for v in g.controls if v != -1),
-        )
-        for g in p.gates
-    )
-    return Circuit((), p.n_qubits, gates)
+
+    @cache
+    def gate(g: QPGate) -> Gate:
+        controls = tuple(control(v) for v in g.controls if v != -1)
+        return Gate(KINDS_BY_OPCODE[g.opcode], (index(g.target),), controls)
+
+    return Circuit((), p.n_qubits, tuple(map(gate, p.gates)))

@@ -31,6 +31,7 @@ from typing import Mapping, Sequence
 from .fileio import atomic_write_text
 from .ir import Circuit, Control, Gate, GateKind, Index, is_indexed
 from .logic import NonLogicGate, logic_function
+from .passes import verify
 from .source import print_source
 
 
@@ -316,10 +317,16 @@ def generate_kernels(
     """One kernel per assignment value, syntactic first, semantic fallback.
 
     values[i][j] is the bit assigned to qubit_indices[j]. Failures are
-    recorded per value and do not abort the remaining ones.
+    recorded per value and do not abort the remaining ones. A circuit
+    that ``verify`` rejects raises ValueError before any value is tried:
+    its gates have no defined meaning to evaluate.
     """
     if not is_indexed(c):
         raise ValueError("circuit must be indexed; run resolve_names first")
+    diags = verify(c)
+    if diags:
+        d = diags[0]
+        raise ValueError(f"circuit fails verify: gate {d.gate_index}: {d.message}")
     if len(set(qubit_indices)) != len(qubit_indices):
         raise ValueError("specialized qubits must be pairwise distinct")
     outcomes: list[KernelOutcome] = []

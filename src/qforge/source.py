@@ -1,33 +1,34 @@
 """Reader and writer for the circuit source format (``.fqt``).
 
-One statement per line, whitespace-insensitive within a line::
+One statement per line; ``#`` starts a comment::
 
     qreg a 4            # register declaration
     x a[0]              # gate: target operand first
     x a[1] a[0] !a[2]   # remaining operands are controls, '!' = negative
     swap a[0] a[1] b[0] # swap takes two targets, then controls
 
-Gate names are case-insensitive; register labels are case-sensitive
-and must be declared before use. ``#`` starts a comment.
+Labels are ASCII ``[A-Za-z_][A-Za-z0-9_]*``; sizes (at least 1) and
+offsets are ASCII decimal. Whitespace may stand around ``!``, ``[``
+and ``]``. Gate names are case-insensitive; register labels are
+case-sensitive and must be declared before use.
 """
 from __future__ import annotations
 
 import re
 
-from .ir import (
-    Circuit,
-    Control,
-    Gate,
-    GateKind,
-    Named,
-    QubitRef,
-    register_bases,
-)
+from .ir import Circuit, Control, Gate, GateKind, Named, QubitRef, register_bases
 
 _GATES = {k.value: k for k in GateKind}
 
-_TOKEN = re.compile(r"[A-Za-z_][A-Za-z0-9_]*|[0-9]+|[!\[\]]|\S")
-_LABEL = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
+# Every part is optional, so a match never fails: the first group left
+# unmatched (None) is the error, reported where that part should start.
+# An operand's '!' group matches the empty string when there is none.
+_WORD = r"[A-Za-z_][A-Za-z0-9_]*"
+_HEAD = re.compile(rf"\s*({_WORD})?")
+_QREG = re.compile(rf"\s*({_WORD})?\s*(0*[1-9][0-9]*)?\s*(\Z)?")
+_QREG_PARTS = ("a register label", "a positive size", "end of line")
+_OPERAND = re.compile(rf"\s*(!?)\s*({_WORD})?\s*(\[)?\s*([0-9]+)?\s*(\])?")
+_OPERAND_PARTS = ("'!'", "a qubit operand", "'['", "an offset", "']'")
 
 
 class ParseError(Exception):
@@ -52,55 +53,19 @@ class UndeclaredRegister(ParseError):
         self.label = label
 
 
-class _Line:
-    """Token cursor over one source line."""
-
-    def __init__(self, text: str, lineno: int):
-        self.lineno = lineno
-        self.toks: list[tuple[str, int]] = []
-        for m in _TOKEN.finditer(text):
-            if m.group() == "#":
-                break
-            self.toks.append((m.group(), m.start() + 1))
-        self.pos = 0
-
-    def peek(self) -> tuple[str, int] | None:
-        return self.toks[self.pos] if self.pos < len(self.toks) else None
-
-    def take(self, what: str) -> tuple[str, int]:
-        tok = self.peek()
-        if tok is None:
-            last = self.toks[-1][1] + len(self.toks[-1][0]) if self.toks else 1
-            raise ParseError(f"expected {what}", self.lineno, last)
-        self.pos += 1
-        return tok
-
-    def expect(self, literal: str) -> None:
-        text, col = self.take(repr(literal))
-        if text != literal:
-            raise ParseError(
-                f"expected {literal!r}, got {text!r}", self.lineno, col
-            )
-
-
-def _parse_operand(ln: _Line, declared: dict[str, int]) -> tuple[QubitRef, bool]:
-    """One operand: optional '!' then label[offset]. Returns (ref, positive)."""
-    positive = True
-    tok = ln.peek()
-    if tok is not None and tok[0] == "!":
-        ln.take("'!'")
-        positive = False
-    text, col = ln.take("a qubit operand")
-    if not _LABEL.match(text):
-        raise ParseError(f"expected register label, got {text!r}", ln.lineno, col)
-    if text not in declared:
-        raise UndeclaredRegister(text, ln.lineno, col)
-    ln.expect("[")
-    off_text, off_col = ln.take("an offset")
-    if not off_text.isdigit():
-        raise ParseError(f"expected integer offset, got {off_text!r}", ln.lineno, off_col)
-    ln.expect("]")
-    return Named(text, int(off_text)), positive
+def _require(m: re.Match, parts: tuple[str, ...], body: str, lineno: int) -> None:
+    """Raise for m's first unmatched group, named by parts: at the next
+    character after the group before it, or just past that at the end."""
+    if None not in m.groups():
+        return
+    after = m.pos
+    for group, what in enumerate(parts, start=1):
+        if m[group] is None:
+            at = len(body) - len(body[after:].lstrip())
+            if at == len(body):
+                raise ParseError(f"expected {what}", lineno, after + 1)
+            raise ParseError(f"expected {what}, got {body[at]!r}", lineno, at + 1)
+        after = m.end(group)
 
 
 def parse_source(text: str) -> Circuit:
@@ -109,62 +74,45 @@ def parse_source(text: str) -> Circuit:
     Every failure raises a positioned ParseError (or a subclass); the
     parser never crashes on arbitrary input.
     """
-    registers: list[tuple[str, int]] = []
-    declared: dict[str, int] = {}
+    registers: dict[str, int] = {}
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        ln = _Line(raw, lineno)
-        head = ln.peek()
-        if head is None:
+        body = raw.split("#", 1)[0].rstrip()
+        if not body:
             continue
-        word, col = head
+        head = _HEAD.match(body)
+        _require(head, ("a gate name or 'qreg'",), body, lineno)
+        word, col, pos = head[1], head.start(1) + 1, head.end()
         if word == "qreg":
-            ln.take("'qreg'")
-            label, lcol = ln.take("a register label")
-            if not _LABEL.match(label):
-                raise ParseError(f"bad register label {label!r}", lineno, lcol)
-            if label in declared:
-                raise ParseError(f"register {label!r} already declared", lineno, lcol)
-            size_text, scol = ln.take("a register size")
-            if not size_text.isdigit() or int(size_text) < 1:
+            m = _QREG.match(body, pos)
+            if m[1] in registers:
                 raise ParseError(
-                    f"register size must be a positive integer, got {size_text!r}",
-                    lineno,
-                    scol,
+                    f"register {m[1]!r} already declared", lineno, m.start(1) + 1
                 )
-            if ln.peek() is not None:
-                extra, ecol = ln.peek()
-                raise ParseError(f"unexpected token {extra!r}", lineno, ecol)
-            registers.append((label, int(size_text)))
-            declared[label] = int(size_text)
+            _require(m, _QREG_PARTS, body, lineno)
+            registers[m[1]] = int(m[2])
             continue
         kind = _GATES.get(word.lower())
         if kind is None:
-            if _LABEL.match(word):
-                raise UnknownGate(word, lineno, col)
-            raise ParseError(f"unexpected token {word!r}", lineno, col)
-        ln.take("a gate name")
-        operands: list[tuple[QubitRef, bool, int]] = []
-        while ln.peek() is not None:
-            before = ln.peek()[1]
-            ref, positive = _parse_operand(ln, declared)
-            operands.append((ref, positive, before))
+            raise UnknownGate(word, lineno, col)
+        operands: list[tuple[Named, int]] = []  # (ref, index of its '!' or -1)
+        while pos < len(body):
+            m = _OPERAND.match(body, pos)
+            if m[2] and m[2] not in registers:
+                raise UndeclaredRegister(m[2], lineno, m.start(2) + 1)
+            _require(m, _OPERAND_PARTS, body, lineno)
+            operands.append((Named(m[2], int(m[4])), m.start(1) if m[1] else -1))
+            pos = m.end()
         n_targets = 2 if kind is GateKind.SWAP else 1
         if len(operands) < n_targets:
-            raise ParseError(
-                f"{kind.value} needs {n_targets} target operand(s)", lineno, col
-            )
-        targets = []
-        for ref, positive, ocol in operands[:n_targets]:
-            if not positive:
-                raise ParseError("a target cannot be negated", lineno, ocol)
-            targets.append(ref)
-        controls = tuple(
-            Control(ref, positive) for ref, positive, _ in operands[n_targets:]
-        )
-        gates.append(Gate(kind, tuple(targets), controls))
-    n_qubits = sum(size for _, size in registers)
-    return Circuit(tuple(registers), n_qubits, tuple(gates))
+            raise ParseError(f"{kind.value} needs {n_targets} target(s)", lineno, col)
+        for _, bang in operands[:n_targets]:
+            if bang >= 0:
+                raise ParseError("a target cannot be negated", lineno, bang + 1)
+        targets = tuple(ref for ref, _ in operands[:n_targets])
+        controls = tuple(Control(ref, bang < 0) for ref, bang in operands[n_targets:])
+        gates.append(Gate(kind, targets, controls))
+    return Circuit(tuple(registers.items()), sum(registers.values()), tuple(gates))
 
 
 def _formatter(c: Circuit):

@@ -243,6 +243,12 @@ class TestParseSuite:
         ):
             parse_suite(tmp_path / "s.qtest")
 
+    def test_circuit_with_non_ascii_digit(self, tmp_path):
+        (tmp_path / "c.fqt").write_text("qreg q \u00b2\n", encoding="utf-8")
+        (tmp_path / "s.qtest").write_text("circuit c.fqt\n")
+        with pytest.raises(SuiteError, match="line 1: bad circuit c.fqt: line 1, col 8"):
+            parse_suite(tmp_path / "s.qtest")
+
     def test_missing_circuit_file(self, tmp_path):
         (tmp_path / "s.qtest").write_text("circuit nope.fqt\n")
         with pytest.raises(SuiteError, match="cannot read"):

@@ -19,7 +19,6 @@ from qforge.ir import (
 from qforge.library import cuccaro_full_add, mod_add
 from qforge.logic import BasisState, run_logic
 from qforge.passes import (
-    AncillaGrowthDisabled,
     CompileError,
     PassConfig,
     checked,
@@ -231,13 +230,6 @@ class TestExpandMultiControls:
             got = run_logic(out, BasisState(7, v)).bits
             assert got >> 5 == 0
 
-    def test_growth_disabled(self):
-        c = Circuit((), 4, (mcx_gate([1, 2, 3], 0),))
-        with pytest.raises(AncillaGrowthDisabled):
-            expand_multi_controls(
-                c, PassConfig(max_controls=2, allow_ancilla_growth=False)
-            )
-
     def test_requires_positive_controls(self):
         c = Circuit((), 4, (mcx_gate([1, 2, 3], 0, [True, True, False]),))
         with pytest.raises(ValueError, match="negative controls"):
@@ -300,12 +292,6 @@ class TestCompile:
         with pytest.raises(CompileError) as info:
             compile_circuit(bad)
         assert info.value.pass_name == "verify"
-
-    def test_growth_failure_is_tagged(self):
-        c = Circuit((), 4, (mcx_gate([1, 2, 3], 0),))
-        with pytest.raises(CompileError) as info:
-            compile_circuit(c, PassConfig(max_controls=2, allow_ancilla_growth=False))
-        assert info.value.pass_name == "expand_multi_controls"
 
     def test_mod_adder_program_equivalent_on_all_inputs(self):
         source, _ = resolve_names(mod_add(4))

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.ir import Circuit, Control, Gate, GateKind, Index
+from qforge.ir import Circuit, Control, Gate, GateKind, Index, repeat
 from qforge.library import mod_add
-from qforge.passes import PassConfig, compile_circuit
+from qforge.logic import BasisState, logic_function, run_logic
+from qforge.passes import PassConfig, compile_circuit, resolve_names
 from qforge.qp import (
     BadIndex,
     BadOpcode,
@@ -74,6 +75,46 @@ def test_parse_errors():
         parse_qp("2 1 2  1 5 -1 -1")  # target out of range
     with pytest.raises(BadIndex):
         parse_qp("0 0 2")
+
+
+@pytest.mark.parametrize(
+    "text, token",
+    [
+        ("1_0 0 2", "1_0"),
+        ("+2 0 2", "+2"),
+        ("\uff12 0 2", "\uff12"),  # fullwidth 2
+        ("2 0 \u0663", "\u0663"),  # Arabic-Indic 3
+        ("2\x1c0 2", "2\x1c0"),  # str.split() would split here
+        ("2\xa00 2", "2\xa00"),
+        ("2 0 2 1-2", "1-2"),
+        ("2 0 2 --1", "--1"),
+        ("2 - 2", "-"),
+    ],
+)
+def test_tokens_are_ascii_signed_decimals(text, token):
+    with pytest.raises(NonIntegerToken) as info:
+        parse_qp(text)
+    assert repr(token) in str(info.value)
+
+
+def test_leading_zeros_and_minus_zero_are_integers():
+    assert parse_qp("02 1 2  1 -0 -1 -01") == QPProgram(2, 2, (QPGate(1, 0, (-1, -1)),))
+
+
+_QP_JUNK = st.lists(
+    st.sampled_from(
+        ["0", "1", "2", "-1", "-", "+", "_", " ", "\t", "\n", "\x1c", "\uff12"]
+    )
+).map("".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text() | _QP_JUNK)
+def test_parse_qp_is_total(text):
+    try:
+        parse_qp(text)
+    except QPFormatError:
+        pass
 
 
 def test_emit_validates_invariants():
@@ -161,6 +202,20 @@ def test_to_circuit_shape():
     assert c.n_qubits == 3
     assert len(c.gates) == 2
     assert c.gates[1].controls[0].qubit.index == 0
+
+
+def test_to_circuit_shares_repeated_records():
+    program = compile_circuit(repeat(mod_add(4), 3), PassConfig(max_controls=2))
+    c = to_circuit(program)
+    first = {}
+    for record, gate in zip(program.gates, c.gates):
+        assert first.setdefault(record, gate) is gate
+    assert len(first) < len(c.gates)
+    source, _ = resolve_names(repeat(mod_add(4), 3))
+    step = logic_function(source)
+    for v in range(512):
+        bits = run_logic(c, BasisState(c.n_qubits, v)).bits
+        assert bits == step(v)
 
 
 @st.composite

@@ -255,6 +255,12 @@ class TestGenerateKernels:
             for b in range(16):
                 assert step(b) == (b + k) % 16
 
+    def test_rejects_circuit_verify_rejects(self):
+        reused = Gate(GateKind.X, (Index(1),), (Control(Index(1)),))
+        bad = Circuit((), 3, (cx(0, 1), reused))  # qubit 1 is target and control
+        with pytest.raises(ValueError, match="verify: gate 1: target qubit 1"):
+            generate_kernels(bad, [0], [[0], [1]])
+
     def test_memory_halves_per_specialized_qubit(self):
         c = indexed_mod_add()
         report = generate_kernels(c, [3, 2, 1, 0, 8], [[0, 0, 0, 1, 0]])

@@ -1,7 +1,11 @@
 """Source format: parsing, printing, round trips, fuzz totality."""
+import json
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Named, new_circuit
 from qforge.source import (
@@ -92,6 +96,57 @@ def test_target_cannot_be_negated():
 def test_swap_needs_two_targets():
     with pytest.raises(ParseError):
         parse_source("qreg q 2\nswap q[0]")
+
+
+def test_error_positions_corpus():
+    # (class, line, col) of each input as the token-cursor parser gave them
+    path = Path(__file__).parent / "data" / "fqt_errors.json"
+    for case in json.loads(path.read_text()):
+        with pytest.raises(ParseError) as info:
+            parse_source(case["source"])
+        got = (type(info.value).__name__, info.value.line, info.value.col)
+        assert got == (case["error"], case["line"], case["col"]), case["source"]
+
+
+@pytest.mark.parametrize(
+    "text, line, col",
+    [
+        ("qreg q \u00b2", 1, 8),  # superscript 2
+        ("qreg q \uff12", 1, 8),  # fullwidth 2
+        ("qreg q 2\nx q[\u00b2]", 2, 5),
+        ("qreg q 2\nx q[1] q[\u0663]", 2, 10),  # Arabic-Indic 3
+        ("qreg \u00e9 1", 1, 6),
+    ],
+)
+def test_non_ascii_tokens_are_positioned_errors(text, line, col):
+    with pytest.raises(ParseError) as info:
+        parse_source(text)
+    assert (info.value.line, info.value.col) == (line, col)
+
+
+# statements with a well-formed head and shuffled operand fragments,
+# some of them non-ASCII digits and letters
+_SOURCE_LINES = st.lists(
+    st.tuples(
+        st.sampled_from(["qreg q", "qreg", "x", "swap", "h q[0]"]),
+        st.lists(
+            st.sampled_from(
+                ["q", "r", "[", "]", "!", "0", "1", "#", "\u00b2", "\u0663", "\u00e9"]
+            ),
+            max_size=6,
+        ),
+    ).map(lambda line: " ".join((line[0], *line[1]))),
+    max_size=4,
+).map("\n".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.text() | _SOURCE_LINES)
+def test_parser_is_total(text):
+    try:
+        assert isinstance(parse_source(text), Circuit)
+    except ParseError:
+        pass
 
 
 def test_print_canonical():
