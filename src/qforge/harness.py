@@ -203,6 +203,9 @@ def parse_suite(path: str | Path) -> list[TestCase]:
                     loaded[target] = parse_source(target.read_text())
                 except OSError as e:
                     raise SuiteError(f"cannot read circuit: {e}", lineno) from None
+                except UnicodeDecodeError as e:
+                    message = f"cannot read circuit {words[1]}: not UTF-8 ({e.reason})"
+                    raise SuiteError(message, lineno) from None
                 except ParseError as e:
                     raise SuiteError(f"bad circuit {words[1]}: {e}", lineno) from None
             circuit = loaded[target]

@@ -9,11 +9,16 @@ state-vector backend.
 
 Negative controls cost nothing here, so they are honored directly with
 no lowering.
+
+``run_planes`` runs the same ops on many basis states at once, one
+packed bit plane per qubit, for sweeps over every input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Callable
+
+import numpy as np
 
 from .ir import Circuit, GateKind, index_of
 
@@ -57,19 +62,17 @@ def run_logic(c: Circuit, state: BasisState) -> BasisState:
     return BasisState(c.n_qubits, logic_function(c)(state.bits))
 
 
-def logic_function(c: Circuit) -> Callable[[int], int]:
-    """Compile a NOT-family circuit into a plain bits -> bits function.
+def _ops(c: Circuit) -> list[tuple[int, int, int]]:
+    """Every gate of a NOT-family circuit as ``(mask, want, flip)`` ops.
 
-    Every gate becomes ``(mask, want, flip)`` ops: ``flip`` applies when
-    ``bits & mask == want``. A SWAP(p, q) becomes CX(p->q), CX(q->p),
-    CX(p->q), each carrying the swap's controls, and SWAP(p, p) becomes
-    nothing. Gates are taken as ``verify`` accepts them: a target reused
-    as a control or a contradictory control pair has no defined meaning.
-    Gate objects repeated in the circuit (via ``repeat``, or
-    ``qp.to_circuit`` on repeated records) are precomputed once, so
-    million-gate circuits stay cheap. Useful on its own when the same
-    circuit is evaluated on many inputs (the qubit-reduction pass sweeps
-    every free basis value).
+    ``flip`` applies when ``bits & mask == want``. A SWAP(p, q) becomes
+    CX(p->q), CX(q->p), CX(p->q), each carrying the swap's controls, and
+    SWAP(p, p) becomes nothing. Gates are taken as ``verify`` accepts
+    them: a target reused as a control or a contradictory control pair
+    has no defined meaning. Gate objects repeated in the circuit (via
+    ``repeat``, or ``qp.to_circuit`` on repeated records) are translated
+    once, so million-gate circuits stay cheap. Raises NonLogicGate at
+    the first gate outside the NOT family.
     """
     n = c.n_qubits
     x, swap = GateKind.X, GateKind.SWAP  # enum attribute lookups are slow
@@ -96,6 +99,17 @@ def logic_function(c: Circuit) -> Callable[[int], int]:
                 gate_ops = (pq, (mask | q, want | q, p), pq) if p != q else ()
             cache[id(g)] = gate_ops
         ops += gate_ops
+    return ops
+
+
+def logic_function(c: Circuit) -> Callable[[int], int]:
+    """Compile a NOT-family circuit into a plain bits -> bits function.
+
+    The gates run as ``_ops`` translates them. Useful on its own when
+    the same circuit is evaluated on a few inputs; ``run_planes``
+    evaluates it on many at once.
+    """
+    ops = _ops(c)
 
     def apply(bits: int) -> int:
         for mask, want, flip in ops:
@@ -104,3 +118,33 @@ def logic_function(c: Circuit) -> Callable[[int], int]:
         return bits
 
     return apply
+
+
+def run_planes(c: Circuit, planes: np.ndarray) -> np.ndarray:
+    """Run a NOT-family circuit on many basis states at once.
+
+    ``planes`` is a uint8 array with one row per qubit: row q holds
+    qubit q's bit of every input, packed eight inputs to a byte (as
+    ``np.packbits(..., bitorder="little")`` lays them out). Each op of
+    ``_ops`` ANDs its control rows (negated for negative controls) into
+    a fire mask and XORs that into the target row, so a gate costs a
+    few numpy calls over rows of ``planes.shape[1]`` bytes. NonLogicGate
+    is raised before anything is evaluated. Returns the output planes;
+    the input is not changed.
+    """
+    if planes.shape[0] != c.n_qubits:
+        raise ValueError(
+            f"planes have {planes.shape[0]} rows, circuit has {c.n_qubits} qubits"
+        )
+    ops = _ops(c)
+    out = np.array(planes, dtype=np.uint8)
+    rows = list(out)  # one view per qubit
+    for mask, want, flip in ops:
+        fire = np.full(out.shape[1], 0xFF, np.uint8)
+        while mask:
+            low = mask & -mask
+            q = low.bit_length() - 1
+            fire &= rows[q] if want & low else ~rows[q]
+            mask ^= low
+        rows[flip.bit_length() - 1] ^= fire
+    return out

@@ -82,13 +82,14 @@ def _resolver(c: Circuit):
     return resolve
 
 
-def _resolve(c: Circuit) -> tuple[list[Gate | None], list[Diagnostic]]:
+def _resolve(c: Circuit, build: bool = True) -> tuple[list[Gate | None], list[Diagnostic]]:
     """The one walk behind verify, resolve_names and checked.
 
     Returns every gate with its references indexed (None for a gate
     with an unresolvable reference) and the well-formedness diagnostics
     in gate order; a broken gate's first diagnostic names its first
-    unresolvable reference.
+    unresolvable reference. With ``build=False`` only the diagnostics
+    are collected and the gate list comes back empty.
     """
     resolve = _resolver(c)
     # resolved references repeat across gates; build each one once
@@ -102,26 +103,30 @@ def _resolve(c: Circuit) -> tuple[list[Gate | None], list[Diagnostic]]:
         refs = targets + controls
         if str in map(type, refs):
             diags.extend(Diagnostic(gi, r) for r in refs if isinstance(r, str))
-            gates.append(None)
+            if build:
+                gates.append(None)
             continue
-        if g.kind is GateKind.SWAP and targets[0] == targets[1]:
-            diags.append(
-                Diagnostic(gi, f"swap targets are identical (qubit {targets[0]})")
+        if len(set(refs)) < len(refs):  # some qubit is named twice
+            if g.kind is GateKind.SWAP and targets[0] == targets[1]:
+                diags.append(
+                    Diagnostic(gi, f"swap targets are identical (qubit {targets[0]})")
+                )
+            seen: dict[int, bool] = {}
+            for q, k in zip(controls, g.controls):
+                if q in targets:
+                    diags.append(Diagnostic(gi, f"target qubit {q} used as a control"))
+                elif q not in seen:
+                    seen[q] = k.positive
+                elif seen[q] == k.positive:
+                    diags.append(Diagnostic(gi, f"duplicate control on qubit {q}"))
+                else:
+                    both = f"qubit {q} is both a positive and a negative control"
+                    diags.append(Diagnostic(gi, both))
+        if build:
+            indexed_controls = tuple(
+                control(q, k.positive) for q, k in zip(controls, g.controls)
             )
-        polarities = [k.positive for k in g.controls]
-        seen: dict[int, bool] = {}
-        for q, positive in zip(controls, polarities):
-            if q in targets:
-                diags.append(Diagnostic(gi, f"target qubit {q} used as a control"))
-            elif q not in seen:
-                seen[q] = positive
-            elif seen[q] == positive:
-                diags.append(Diagnostic(gi, f"duplicate control on qubit {q}"))
-            else:
-                both = f"qubit {q} is both a positive and a negative control"
-                diags.append(Diagnostic(gi, both))
-        indexed_controls = tuple(map(control, controls, polarities))
-        gates.append(Gate(g.kind, tuple(map(index, targets)), indexed_controls))
+            gates.append(Gate(g.kind, tuple(map(index, targets)), indexed_controls))
     return gates, diags
 
 
@@ -132,7 +137,7 @@ def verify(c: Circuit) -> list[Diagnostic]:
     controls, duplicate or contradictory controls, and swaps whose two
     targets coincide.
     """
-    return _resolve(c)[1]
+    return _resolve(c, build=False)[1]
 
 
 def resolve_names(c: Circuit) -> tuple[Circuit, dict[tuple[str, int], int]]:

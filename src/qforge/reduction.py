@@ -16,6 +16,12 @@ smaller than the original's. Two strategies are tried in order:
   output depends on the free inputs the specialization is entangled
   and removing the qubits would change semantics, which is an error.
 
+  Cost, with m free qubits out of n: extraction runs all 2**m free
+  values at once on packed bit planes (n * 2**m / 8 bytes), a few
+  numpy calls per gate. Synthesis keeps the permutation table and its
+  inverse, so a fix with c controls swaps 2**(m-c-1) value pairs
+  instead of sweeping all 2**m entries.
+
 Kernel circuits are densely reindexed over the free qubits (old index
 order preserved) and carry a fresh register ``q`` so they can be
 printed and run like any other circuit.
@@ -28,9 +34,11 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from .fileio import atomic_write_text
 from .ir import Circuit, Control, Gate, GateKind, Index, is_indexed
-from .logic import NonLogicGate, logic_function
+from .logic import NonLogicGate, run_planes
 from .passes import verify
 from .source import print_source
 
@@ -196,14 +204,6 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
     )
 
 
-def _embed(free_value: int, index_map: dict[int, int], fixed_bits: int) -> int:
-    bits = fixed_bits
-    for old, new in index_map.items():
-        if (free_value >> new) & 1:
-            bits |= 1 << old
-    return bits
-
-
 def extract_permutation(
     c: Circuit, spec: Specialization, cap: int = 20
 ) -> tuple[list[int], dict[int, int]]:
@@ -212,6 +212,10 @@ def extract_permutation(
     Runs the circuit in the computational basis on every free value and
     requires the specialized qubits to come out the same every time.
     Returns (permutation, final constant bits of the assigned qubits).
+
+    All 2**m free values run at once through ``logic.run_planes``: one
+    packed bit-plane row per qubit, n * 2**m / 8 bytes in all, and a
+    few numpy calls over rows of 2**m / 8 bytes per gate.
     """
     if not is_indexed(c):
         raise ValueError("circuit must be indexed; run resolve_names first")
@@ -221,49 +225,58 @@ def extract_permutation(
         raise UnsupportedForSemanticReduction(
             f"{m} free qubits exceed the semantic sweep cap of {cap}"
         )
+    size = 1 << m
+    values = np.arange(size)
+    free = list(_free_index_map(c.n_qubits, spec.assignments))
+    planes = np.empty((c.n_qubits, (size + 7) // 8), np.uint8)
+    for new, old in enumerate(free):
+        planes[old] = np.packbits((values >> new) & 1, bitorder="little")
+    for q, bit in spec.assignments.items():
+        planes[q] = 0xFF if bit else 0
     try:
-        step = logic_function(c)
+        out = run_planes(c, planes)
     except NonLogicGate as e:
         raise UnsupportedForSemanticReduction(str(e)) from e
-    index_map = _free_index_map(c.n_qubits, spec.assignments)
-    fixed_bits = 0
-    for q, bit in spec.assignments.items():
-        fixed_bits |= bit << q
+
+    def unpacked(rows: list[int]) -> np.ndarray:
+        return np.unpackbits(out[rows], axis=1, count=size, bitorder="little")
+
     assigned = sorted(spec.assignments)
-    perm: list[int] = []
-    constants: dict[int, int] | None = None
-    for v in range(1 << m):
-        out_bits = step(_embed(v, index_map, fixed_bits))
-        out_free = 0
-        for old, new in index_map.items():
-            out_free |= ((out_bits >> old) & 1) << new
-        out_assigned = {q: (out_bits >> q) & 1 for q in assigned}
-        if constants is None:
-            constants = out_assigned
-        elif constants != out_assigned:
-            raise EntangledSpecialization(
-                "specialized qubits do not end in a constant state; their "
-                f"output differs between free inputs (e.g. at value {v})"
-            )
-        perm.append(out_free)
-    assert constants is not None
+    final = unpacked(assigned)
+    differs = (final != final[:, :1]).any(axis=0)
+    if differs.any():
+        raise EntangledSpecialization(
+            "specialized qubits do not end in a constant state; their "
+            f"output differs between free inputs (e.g. at value {differs.argmax()})"
+        )
+    constants = {q: int(final[i, 0]) for i, q in enumerate(assigned)}
     if constants != dict(spec.assignments):
         warnings.warn(
             f"specialized qubits end at {constants}, not at their input "
             f"assignment {dict(spec.assignments)}",
             stacklevel=2,
         )
-    return perm, constants
+    perm = np.zeros(size, np.int64)
+    for new, bits in enumerate(unpacked(free)):
+        perm |= bits.astype(np.int64) << new
+    return perm.tolist(), constants
 
 
 def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
     """Resynthesize a basis permutation as multi-controlled NOTs.
 
-    Output-side transformation-based method: walk basis values in
-    ascending order and append NOT gates that map the current image of
-    v onto v without disturbing any already-fixed smaller value (the
-    control sets guarantee that); the collected gate list, reversed, is
-    the circuit. Gate count is bounded by m * 2**m.
+    Output-side transformation-based synthesis (Miller, Maslov & Dueck,
+    DAC 2003): walk basis values in ascending order and append NOT gates
+    that map the current image of v onto v without disturbing any
+    already-fixed smaller value (the control sets guarantee that); the
+    collected gate list, reversed, is the circuit. Gate count is bounded
+    by m * 2**m.
+
+    The table ``f`` is kept together with its inverse ``g``. A fix with
+    target bit j and control mask c (j never in c) flips bit j of every
+    image that contains c, which swaps the images of the 2**(m-|c|-1)
+    value pairs (y, y | 1<<j) with y containing c; only those pairs are
+    touched, so wide control masks cost little.
     """
     size = len(perm)
     if size == 0 or size & (size - 1):
@@ -272,12 +285,23 @@ def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
     if sorted(perm) != list(range(size)):
         raise NotAPermutation("values are not a bijection over the domain")
     f = list(perm)
+    g = [0] * size
+    for i, y in enumerate(f):
+        g[y] = i
 
     def apply_fix(target_bit: int, control_mask: int) -> None:
         flip = 1 << target_bit
-        for i in range(size):
-            if f[i] & control_mask == control_mask:
-                f[i] ^= flip
+        free = (size - 1) & ~(control_mask | flip)
+        s = free
+        while True:  # every submask s of free, down to 0
+            y0 = control_mask | s
+            y1 = y0 | flip
+            i0, i1 = g[y0], g[y1]
+            f[i0], f[i1] = y1, y0
+            g[y0], g[y1] = i1, i0
+            if not s:
+                return
+            s = (s - 1) & free
 
     fixes: list[tuple[int, int]] = []  # (target bit, positive-control mask)
     for v in range(size):
@@ -299,12 +323,16 @@ def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
             fixes.append((j, v))
             apply_fix(j, v)
             extra &= extra - 1
+    qubits = [Index(b) for b in range(m)]
+    controls = [Control(q) for q in qubits]
+    by_mask: dict[int, tuple[Control, ...]] = {}
     gates = []
     for target_bit, mask in reversed(fixes):
-        controls = tuple(
-            Control(Index(b), True) for b in range(m) if (mask >> b) & 1
-        )
-        gates.append(Gate(GateKind.X, (Index(target_bit),), controls))
+        mask_controls = by_mask.get(mask)
+        if mask_controls is None:
+            mask_controls = tuple(controls[b] for b in range(m) if (mask >> b) & 1)
+            by_mask[mask] = mask_controls
+        gates.append(Gate(GateKind.X, (qubits[target_bit],), mask_controls))
     return Circuit((), m, tuple(gates))
 
 

@@ -254,6 +254,13 @@ class TestParseSuite:
         with pytest.raises(SuiteError, match="cannot read"):
             parse_suite(tmp_path / "s.qtest")
 
+    def test_non_utf8_circuit_file(self, tmp_path):
+        (tmp_path / "bad.fqt").write_bytes(b"qreg q 1\nx q[0] \xff\n")
+        (tmp_path / "s.qtest").write_text("# header\n\ncircuit bad.fqt\n")
+        with pytest.raises(SuiteError, match="cannot read circuit bad.fqt: not UTF-8") as info:
+            parse_suite(tmp_path / "s.qtest")
+        assert info.value.line == 3
+
 
 class TestParseAssignments:
     def test_values_and_empty_entries(self):

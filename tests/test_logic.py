@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, repeat
-from qforge.logic import BasisState, NonLogicGate, logic_function, run_logic
+from qforge.logic import BasisState, NonLogicGate, logic_function, run_logic, run_planes
 from qforge.statevector import probabilities, run
 
 from helpers import dense_unitary, random_x_circuit
@@ -150,3 +150,33 @@ def test_swap_of_a_qubit_with_itself_changes_nothing():
     g = Gate(GateKind.SWAP, (Index(0), Index(0)), (Control(Index(1)),))
     c = Circuit((), 2, (g,))
     assert [logic_function(c)(v) for v in range(4)] == [0, 1, 2, 3]
+
+
+def _all_inputs(n):
+    """Bit planes holding every n-qubit basis state, value v at position v."""
+    values = np.arange(1 << n)
+    return np.array(
+        [np.packbits((values >> q) & 1, bitorder="little") for q in range(n)],
+        dtype=np.uint8,
+    ).reshape(n, -1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_not_family_circuits())
+def test_run_planes_matches_logic_function_property(c):
+    n = c.n_qubits
+    planes = _all_inputs(n)
+    out = run_planes(c, planes)
+    assert np.array_equal(planes, _all_inputs(n))  # input left alone
+    bits = np.unpackbits(out, axis=1, count=1 << n, bitorder="little")
+    f = logic_function(c)
+    for v in range(1 << n):
+        assert sum(int(bits[q, v]) << q for q in range(n)) == f(v)
+
+
+def test_run_planes_checks_before_evaluating():
+    c = Circuit((), 2, (Gate(GateKind.X, (Index(0),)), Gate(GateKind.H, (Index(1),))))
+    with pytest.raises(NonLogicGate, match="gate 1"):
+        run_planes(c, _all_inputs(2))
+    with pytest.raises(ValueError, match="3 rows"):
+        run_planes(c, _all_inputs(3))

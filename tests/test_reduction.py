@@ -1,8 +1,12 @@
 """Qubit reduction: constant propagation, extraction, resynthesis."""
 import json
 import random
+import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index
 from qforge.library import AdderLayout, increment_kernel, mod_add
@@ -25,6 +29,10 @@ from qforge.source import parse_source
 from qforge.statevector import init_state
 
 from helpers import random_x_circuit
+
+SYNTH_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "synth_golden.json").read_text()
+)["cases"]
 
 
 def cx(c, t):
@@ -163,6 +171,99 @@ class TestExtractPermutation:
         assert constants == {0: 1}
         assert perm == [0, 1]
 
+    def test_non_basis_gate_rejected_before_any_evaluation(self):
+        # every free value would show qubit 0 entangled; the H must win
+        gates = (cx(1, 0), Gate(GateKind.H, (Index(2),)))
+        with pytest.raises(UnsupportedForSemanticReduction, match="gate 1: h"):
+            extract_permutation(Circuit((), 3, gates), Specialization({0: 0}))
+
+    def test_assigned_qubits_above_64(self):
+        n = 70
+        free = [0, 3, 64, 67, 69]
+        assignments = {q: q % 2 for q in range(n) if q not in free}
+        gates = (
+            Gate(GateKind.X, (Index(64),), (Control(Index(65)), Control(Index(66), False))),
+            Gate(GateKind.SWAP, (Index(0), Index(69)), (Control(Index(68), False),)),
+            Gate(GateKind.X, (Index(3),), (Control(Index(0)), Control(Index(67)))),
+            Gate(GateKind.X, (Index(68),), (Control(Index(65)),)),
+            Gate(GateKind.X, (Index(67),), (Control(Index(68)), Control(Index(64), False))),
+        )
+        c = Circuit((), n, gates)
+        want_perm, want_constants, first = per_value_sweep(c, assignments)
+        assert first is None
+        with pytest.warns(UserWarning, match="not at their input"):
+            perm, constants = extract_permutation(c, Specialization(assignments))
+        assert (perm, constants) == (want_perm, want_constants)
+        assert constants[68] == 1
+        assert perm != list(range(32))
+
+
+def per_value_sweep(c, assignments):
+    """extract_permutation's result, one logic_function call per free value.
+
+    Returns (perm, constants, first value whose assigned outputs differ
+    from value 0's, or None).
+    """
+    step = logic_function(c)
+    free = [q for q in range(c.n_qubits) if q not in assignments]
+    fixed = sum(bit << q for q, bit in assignments.items())
+    perm, constants, first = [], None, None
+    for v in range(1 << len(free)):
+        out = step(fixed | sum(((v >> new) & 1) << old for new, old in enumerate(free)))
+        outs = {q: (out >> q) & 1 for q in sorted(assignments)}
+        if constants is None:
+            constants = outs
+        elif outs != constants and first is None:
+            first = v
+        perm.append(sum(((out >> old) & 1) << new for new, old in enumerate(free)))
+    return perm, constants, first
+
+
+@st.composite
+def _extraction_cases(draw):
+    """X/SWAP circuits, mixed-polarity controls, n <= 12, 0-3 assigned qubits."""
+    n = draw(st.integers(1, 12))
+    kinds = [GateKind.X, GateKind.SWAP] if n >= 2 else [GateKind.X]
+    gates = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(kinds))
+        n_targets = 2 if kind is GateKind.SWAP else 1
+        k = draw(st.integers(0, min(3, n - n_targets)))
+        qubits = draw(st.permutations(range(n)))[: n_targets + k]
+        polarities = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        targets = tuple(Index(q) for q in qubits[:n_targets])
+        controls = tuple(
+            Control(Index(q), v) for q, v in zip(qubits[n_targets:], polarities)
+        )
+        gates.append(Gate(kind, targets, controls))
+    assigned = draw(st.permutations(range(n)))[: draw(st.integers(0, min(3, n)))]
+    assignments = {q: draw(st.integers(0, 1)) for q in assigned}
+    return Circuit((), n, tuple(gates)), assignments
+
+
+@settings(max_examples=150, deadline=None)
+@given(_extraction_cases())
+def test_extraction_matches_per_value_sweep(case):
+    c, assignments = case
+    perm, constants, first = per_value_sweep(c, assignments)
+    spec = Specialization(assignments)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        if first is not None:
+            with pytest.raises(EntangledSpecialization) as info:
+                extract_permutation(c, spec)
+            assert str(info.value).endswith(f"(e.g. at value {first})")
+            assert not caught
+            return
+        got = extract_permutation(c, spec)
+    assert got == (perm, constants)
+    assert all(type(v) is int for v in got[0] + list(got[1].values()))
+    drifted = constants != assignments
+    assert [str(w.message) for w in caught] == drifted * [
+        f"specialized qubits end at {constants}, not at their input "
+        f"assignment {assignments}"
+    ]
+
 
 class TestSynthesize:
     def test_identity_gives_empty_circuit(self):
@@ -207,6 +308,24 @@ class TestSynthesize:
         ref = logic_function(inc)
         for v in range(16):
             assert synth(v) == ref(v) == (v + 1) % 16
+
+    @pytest.mark.parametrize(
+        "case",
+        SYNTH_GOLDEN,
+        ids=[f"m{case['m']}-{case['name'].replace(' ', '')}" for case in SYNTH_GOLDEN],
+    )
+    def test_matches_golden_corpus(self, case):
+        # gate lists recorded from the full-table-sweep implementation
+        circuit = synthesize_from_permutation(case["perm"])
+        assert circuit.n_qubits == case["m"]
+        assert all(k.positive for g in circuit.gates for k in g.controls)
+        got = [
+            [g.targets[0].index, sum(1 << k.qubit.index for k in g.controls)]
+            for g in circuit.gates
+        ]
+        assert got == case["gates"]
+        realized, _ = extract_permutation(circuit, Specialization({}))
+        assert realized == case["perm"]
 
     def test_inverse_composition_is_identity(self):
         rng = random.Random(101)
