@@ -62,9 +62,7 @@ from .statevector import (
     BasisOutOfRange,
     StateTooLarge,
     StateVector,
-    UnloweredSwap,
     apply_gate,
-    apply_swap,
     init_state,
     probabilities,
     run,

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_write_text
-from .harness import SuiteError, parse_assignments, parse_suite, run_suite
+from .harness import SuiteError, parse_assignments, parse_int, parse_suite, run_suite
 from .ir import (
     Circuit,
     CircuitError,
@@ -63,7 +63,10 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
     token = token.strip()
     if "[" in token and token.endswith("]"):
         label, _, rest = token.partition("[")
-        ref = Named(label, int(rest[:-1]))
+        offset = rest[:-1].strip()
+        if not (offset.isascii() and offset.isdigit()):
+            raise ValueError(f"cannot resolve qubit {token!r}")
+        ref = Named(label, int(offset))
     elif token in bases:
         if bases[token][1] != 1:
             raise ValueError(f"{token!r} is a register, not a single qubit")
@@ -72,7 +75,7 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         head = token.rstrip("0123456789")
         if head and head != token and head in bases:
             ref = Named(head, int(token[len(head):]))
-        elif token.isdigit():
+        elif token.isascii() and token.isdigit():
             ref = Index(int(token))
         else:
             raise ValueError(f"cannot resolve qubit {token!r}")
@@ -107,7 +110,7 @@ def _cmd_sim(args) -> int:
     if "=" in args.prep:
         prep = encode_registers(circuit, parse_assignments(args.prep))
     else:
-        prep = int(args.prep or "0", 0)
+        prep = parse_int(args.prep or "0")
         if not 0 <= prep < (1 << circuit.n_qubits):
             raise ValueError(
                 f"prep value {prep} does not fit {circuit.n_qubits} qubits"
@@ -151,9 +154,7 @@ def _cmd_reduce(args) -> int:
         if not all(ch in "01" for ch in value):
             raise ValueError(f"value {value!r} must be a bit string")
         values.append([int(ch) for ch in value])
-    report = generate_kernels(
-        circuit, qubit_indices, values, semantic_cap=args.semantic_cap
-    )
+    report = generate_kernels(circuit, qubit_indices, values)
     manifest = write_kernels(report, source_path.stem, args.output)
     for entry in manifest["kernels"]:
         if "file" in entry:
@@ -200,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--qubits", required=True, help="comma list, e.g. a3,a2,a1,a0,c")
     p.add_argument("--values", required=True, help="comma list of bit strings")
     p.add_argument("-o", "--output", required=True, help="output directory")
-    p.add_argument("--semantic-cap", type=int, default=20)
     p.set_defaults(func=_cmd_reduce)
 
     p = sub.add_parser("test", help="run a .qtest suite")

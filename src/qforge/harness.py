@@ -21,6 +21,7 @@ the case as an error, not a failure.
 """
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -103,15 +104,15 @@ def _run_case(case: TestCase, lowered: bool) -> CaseResult:
             lower(case.circuit, PassConfig()) if lowered else checked(case.circuit)
         )
         bits = encode_registers(case.circuit, case.prep)
-    except (CompileError, ValueError) as e:
+        if case.backend is Backend.LOGIC:
+            # lowering may append ancillas; they prep to 0
+            out = run_logic(circuit, BasisState(circuit.n_qubits, bits))
+        else:
+            state = run(circuit, bits)
+    except (CompileError, ValueError, NonLogicGate, StateTooLarge) as e:
         return CaseResult(case.name, "error", str(e))
 
     if case.backend is Backend.LOGIC:
-        try:
-            # lowering may append ancillas; they prep to 0
-            out = run_logic(circuit, BasisState(circuit.n_qubits, bits))
-        except NonLogicGate as e:
-            return CaseResult(case.name, "error", str(e))
         decoded = decode_registers(case.circuit, out.bits)
         unknown = [label for label in case.expect_registers if label not in decoded]
         if unknown:
@@ -126,10 +127,6 @@ def _run_case(case: TestCase, lowered: bool) -> CaseResult:
             return CaseResult(case.name, "fail", "; ".join(mismatches))
         return CaseResult(case.name, "pass")
 
-    try:
-        state = run(circuit, bits)
-    except StateTooLarge as e:
-        return CaseResult(case.name, "error", str(e))
     listed = {e.index: e for e in case.expect_amplitudes}
     floor = min(
         (e.tolerance for e in case.expect_amplitudes), default=DEFAULT_AMPLITUDE_TOL
@@ -162,6 +159,18 @@ def run_suite(cases: list[TestCase], lower: bool = False) -> TestReport:
     return TestReport(tuple(_run_case(case, lower) for case in cases))
 
 
+# exactly the ASCII literals int(text, 0) reads; it alone would also
+# take '1_0', ' 3', '-3' and non-ASCII digits
+_INT = re.compile(r"0+|[1-9][0-9]*|0[xX][0-9A-Fa-f]+|0[bB][01]+|0[oO][0-7]+")
+
+
+def parse_int(text: str) -> int:
+    """An ASCII integer literal: decimal, or 0x / 0b / 0o prefixed."""
+    if not _INT.fullmatch(text):
+        raise ValueError(f"bad integer {text!r}")
+    return int(text, 0)
+
+
 def parse_assignments(text: str) -> dict[str, int]:
     """Register assignments ``a=3,b=0x5``; each register at most once."""
     out: dict[str, int] = {}
@@ -174,7 +183,7 @@ def parse_assignments(text: str) -> dict[str, int]:
         if name in out:
             raise ValueError(f"register {name!r} assigned twice")
         try:
-            out[name] = int(value, 0)
+            out[name] = parse_int(value)
         except ValueError:
             raise ValueError(f"bad integer in entry {part!r}") from None
     return out
@@ -188,7 +197,11 @@ def parse_suite(path: str | Path) -> list[TestCase]:
     backend = Backend.LOGIC
     cases: list[TestCase] = []
     loaded: dict[Path, Circuit] = {}
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError as e:
+        raise SuiteError(f"cannot read suite {path}: not UTF-8 ({e.reason})") from None
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

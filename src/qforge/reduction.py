@@ -20,7 +20,8 @@ smaller than the original's. Two strategies are tried in order:
   values at once on packed bit planes (n * 2**m / 8 bytes), a few
   numpy calls per gate. Synthesis keeps the permutation table and its
   inverse, so a fix with c controls swaps 2**(m-c-1) value pairs
-  instead of sweeping all 2**m entries.
+  instead of sweeping all 2**m entries. At most SEMANTIC_MAX_FREE free
+  qubits are swept.
 
 Kernel circuits are densely reindexed over the free qubits (old index
 order preserved) and carry a fresh register ``q`` so they can be
@@ -41,6 +42,10 @@ from .ir import Circuit, Control, Gate, GateKind, Index, is_indexed
 from .logic import NonLogicGate, run_planes
 from .passes import verify
 from .source import print_source
+
+# most free qubits the semantic path sweeps; it bounds the bit planes'
+# memory (n * 2**m / 8 bytes), not the synthesis time
+SEMANTIC_MAX_FREE = 20
 
 
 class ReductionError(Exception):
@@ -154,46 +159,31 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
     index_map = _free_index_map(c.n_qubits, tracked)
     out: list[Gate] = []
     for gi, g in enumerate(c.gates):
-        target_idx = [t.index for t in g.targets]
-        if any(t in tracked for t in target_idx):
-            if g.kind is not GateKind.X:
-                raise NotReducible(
-                    gi, f"{g.kind.value} gate targets a specialized qubit"
-                )
-            t = target_idx[0]
-            fires = True
-            for k in g.controls:
-                q = k.qubit.index
-                if q not in tracked:
-                    raise NotReducible(
-                        gi,
-                        f"NOT targeting specialized qubit {t} has a control "
-                        f"on free qubit {q}",
-                    )
-                if tracked[q] != (1 if k.positive else 0):
-                    fires = False
-            if fires:
-                tracked[t] ^= 1
-            continue
-        keep: list[Control] = []
-        fires = True
+        keep: list[Control] = []  # the free controls
+        fires = True  # every specialized control holds
         for k in g.controls:
-            q = k.qubit.index
-            if q in tracked:
-                if tracked[q] != (1 if k.positive else 0):
-                    fires = False
-                    break
+            if k.qubit.index in tracked:
+                fires = fires and tracked[k.qubit.index] == k.positive
             else:
                 keep.append(k)
-        if not fires:
-            continue
-        out.append(
-            Gate(
-                g.kind,
-                tuple(Index(index_map[t]) for t in target_idx),
-                tuple(Control(Index(index_map[k.qubit.index]), k.positive) for k in keep),
+        targets = [t.index for t in g.targets]
+        if any(t in tracked for t in targets):
+            if g.kind is not GateKind.X:
+                raise NotReducible(gi, f"{g.kind.value} gate targets a specialized qubit")
+            if keep:
+                raise NotReducible(
+                    gi,
+                    f"NOT targeting specialized qubit {targets[0]} has a control "
+                    f"on free qubit {keep[0].qubit.index}",
+                )
+            if fires:
+                tracked[targets[0]] ^= 1
+        elif fires:
+            new_targets = tuple(Index(index_map[t]) for t in targets)
+            new_controls = tuple(
+                Control(Index(index_map[k.qubit.index]), k.positive) for k in keep
             )
-        )
+            out.append(Gate(g.kind, new_targets, new_controls))
     m = c.n_qubits - len(tracked)
     kernel = c if not spec.assignments else _kernel_circuit(m, out)
     return ReducedKernel(
@@ -205,13 +195,15 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
 
 
 def extract_permutation(
-    c: Circuit, spec: Specialization, cap: int = 20
+    c: Circuit, spec: Specialization
 ) -> tuple[list[int], dict[int, int]]:
     """Evaluate the free-qubit permutation under a fixed assignment.
 
     Runs the circuit in the computational basis on every free value and
     requires the specialized qubits to come out the same every time.
     Returns (permutation, final constant bits of the assigned qubits).
+    More than SEMANTIC_MAX_FREE free qubits raise
+    UnsupportedForSemanticReduction before any work is done.
 
     All 2**m free values run at once through ``logic.run_planes``: one
     packed bit-plane row per qubit, n * 2**m / 8 bytes in all, and a
@@ -221,9 +213,9 @@ def extract_permutation(
         raise ValueError("circuit must be indexed; run resolve_names first")
     _check_assignments(c, spec.assignments)
     m = c.n_qubits - len(spec.assignments)
-    if m > cap:
+    if m > SEMANTIC_MAX_FREE:
         raise UnsupportedForSemanticReduction(
-            f"{m} free qubits exceed the semantic sweep cap of {cap}"
+            f"{m} free qubits exceed the semantic sweep cap of {SEMANTIC_MAX_FREE}"
         )
     size = 1 << m
     values = np.arange(size)
@@ -336,11 +328,26 @@ def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
     return Circuit((), m, tuple(gates))
 
 
+def _reduce(c: Circuit, spec: Specialization) -> ReducedKernel:
+    """The syntactic kernel for one assignment, else the semantic one."""
+    try:
+        return specialize_syntactic(c, spec)
+    except NotReducible:
+        pass
+    perm, constants = extract_permutation(c, spec)
+    synth = synthesize_from_permutation(perm)
+    return ReducedKernel(
+        circuit=_kernel_circuit(synth.n_qubits, synth.gates),
+        index_map=_free_index_map(c.n_qubits, spec.assignments),
+        final_constants=constants,
+        specialization=replace(spec, method="semantic"),
+    )
+
+
 def generate_kernels(
     c: Circuit,
     qubit_indices: Sequence[int],
     values: Sequence[Sequence[int]],
-    semantic_cap: int = 20,
 ) -> ReductionReport:
     """One kernel per assignment value, syntactic first, semantic fallback.
 
@@ -360,34 +367,13 @@ def generate_kernels(
     outcomes: list[KernelOutcome] = []
     for value in values:
         bits = tuple(int(b) for b in value)
-        if len(bits) != len(qubit_indices):
-            outcomes.append(
-                KernelOutcome(
-                    bits,
-                    error=f"value width {len(bits)} != qubit count {len(qubit_indices)}",
+        try:
+            if len(bits) != len(qubit_indices):
+                raise ValueError(
+                    f"value width {len(bits)} != qubit count {len(qubit_indices)}"
                 )
-            )
-            continue
-        spec = Specialization(dict(zip(qubit_indices, bits)))
-        try:
-            outcomes.append(KernelOutcome(bits, kernel=specialize_syntactic(c, spec)))
-            continue
-        except NotReducible:
-            pass
-        except (ValueError, ReductionError) as e:
-            outcomes.append(KernelOutcome(bits, error=str(e)))
-            continue
-        try:
-            perm, constants = extract_permutation(c, spec, cap=semantic_cap)
-            synth = synthesize_from_permutation(perm)
-            m = synth.n_qubits
-            kernel = ReducedKernel(
-                circuit=_kernel_circuit(m, synth.gates),
-                index_map=_free_index_map(c.n_qubits, spec.assignments),
-                final_constants=constants,
-                specialization=replace(spec, method="semantic"),
-            )
-            outcomes.append(KernelOutcome(bits, kernel=kernel))
+            spec = Specialization(dict(zip(qubit_indices, bits)))
+            outcomes.append(KernelOutcome(bits, kernel=_reduce(c, spec)))
         except (ValueError, ReductionError) as e:
             outcomes.append(KernelOutcome(bits, error=str(e)))
     return ReductionReport(tuple(outcomes))

@@ -14,8 +14,9 @@ mixes the two half views in place:
 * H is an add and a subtract written into the halves, and Y a swap
   with phases, each with one half-size temporary.
 
-A (controlled) SWAP exchanges the (p=1, q=0) and (p=0, q=1) quarter
-views. A one-element slice rather than an integer index keeps every
+A (controlled) SWAP of p and q instead exchanges the (p=1, q=0) and
+(p=0, q=1) quarter views, so raw and lowered circuits both simulate.
+A one-element slice rather than an integer index keeps every
 selection a view even when controls and targets fix every axis; an
 integer there would make numpy return a scalar copy and lose the write.
 The half views are disjoint, which is what licenses updating their
@@ -47,10 +48,6 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
 
 class BasisOutOfRange(Exception):
     """Requested preparation index does not fit the register."""
-
-
-class UnloweredSwap(Exception):
-    """A SWAP gate reached the pairwise 2x2 update kernel."""
 
 
 class StateTooLarge(Exception):
@@ -121,15 +118,21 @@ def _exchange(a: np.ndarray, b: np.ndarray) -> None:
 
 
 def apply_gate(state: StateVector, gate: Gate) -> StateVector:
-    """Apply one non-SWAP gate in place and return the state.
+    """Apply one gate in place and return the state.
 
     Where every control is met, each amplitude pair (|0>, |1>) on the
-    target qubit is replaced by its image under the gate matrix; every
+    target qubit is replaced by its image under the gate matrix, and a
+    SWAP exchanges the amplitudes whose two target bits differ; every
     other amplitude is left as it is.
     """
+    n = state.n_qubits
+    t = index_of(gate.targets[0], n)
     if gate.kind is GateKind.SWAP:
-        raise UnloweredSwap("SWAP has no 2x2 matrix; lower it or use run()")
-    t = index_of(gate.targets[0], state.n_qubits)
+        q = index_of(gate.targets[1], n)
+        if t == q:
+            raise ValueError("swap targets are identical")
+        _exchange(*_views(state, gate, [(t, 1), (q, 0)], [(t, 0), (q, 1)]))
+        return state
     lo, hi = _views(state, gate, [(t, 0)], [(t, 1)])
     if gate.kind is GateKind.X:
         _exchange(lo, hi)
@@ -147,32 +150,11 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     return state
 
 
-def apply_swap(state: StateVector, gate: Gate) -> StateVector:
-    """Apply a (controlled) SWAP in place as an exact amplitude exchange."""
-    if gate.kind is not GateKind.SWAP:
-        raise ValueError(f"not a swap gate: {gate.kind.value}")
-    n = state.n_qubits
-    p = index_of(gate.targets[0], n)
-    q = index_of(gate.targets[1], n)
-    if p == q:
-        raise ValueError("swap targets are identical")
-    _exchange(*_views(state, gate, [(p, 1), (q, 0)], [(p, 0), (q, 1)]))
-    return state
-
-
 def run(c: Circuit, prep: int = 0) -> StateVector:
-    """Prepare the given basis state and apply every gate in order.
-
-    SWAP gates are dispatched to the quarter-view exchange, so both raw
-    and lowered circuits simulate; everything else goes through the
-    half-view update.
-    """
+    """Prepare the given basis state and apply every gate in order."""
     state = init_state(c.n_qubits, prep)
     for g in c.gates:
-        if g.kind is GateKind.SWAP:
-            apply_swap(state, g)
-        else:
-            apply_gate(state, g)
+        apply_gate(state, g)
     return state
 
 

@@ -134,6 +134,12 @@ class TestSim:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize("prep", ["\u0663", "1_0", "a=\u0663", "a=1_0"])
+    def test_prep_accepts_only_ascii_literals(self, prep, capsys):
+        args = ["sim", fixture_path(FULLADD), "--backend", "logic", "--prep", prep]
+        assert main(args) == 1
+        assert "bad integer" in capsys.readouterr().err
+
     def test_register_assigned_twice_is_rejected(self, capsys):
         args = ["sim", fixture_path(FULLADD), "--backend", "logic"]
         assert main(args + ["--prep", "b=1,b=2"]) == 1
@@ -222,6 +228,12 @@ class TestReduce:
         assert names == sorted(p.name for p in second.iterdir())
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
+
+    @pytest.mark.parametrize("token", ["a[\u0663]", "\u0663", "a[1_0]", "a[+3]"])
+    def test_qubit_token_needs_ascii_digits(self, tmp_path, token, capsys):
+        args = ["reduce", fixture_path(MODADD), "--qubits", token, "--values", "0"]
+        assert main(args + ["-o", str(tmp_path / "k")]) == 1
+        assert f"cannot resolve qubit {token!r}" in capsys.readouterr().err
 
     def test_bad_qubit_token(self, tmp_path, capsys):
         code = main(

@@ -261,13 +261,33 @@ class TestParseSuite:
             parse_suite(tmp_path / "s.qtest")
         assert info.value.line == 3
 
+    def test_non_utf8_suite_file(self, tmp_path):
+        path = tmp_path / "s.qtest"
+        path.write_bytes(b"# \xff\n")
+        with pytest.raises(SuiteError, match=r"cannot read suite .*s\.qtest: not UTF-8 \("):
+            parse_suite(path)
+
+    @pytest.mark.parametrize("words", ["prep q=\u0663", "expect q=1_0"])
+    def test_non_ascii_or_underscored_value(self, tmp_path, words):
+        (tmp_path / "c.fqt").write_text("qreg q 4\nx q[0]\n")
+        (tmp_path / "s.qtest").write_text(f"circuit c.fqt\ncase one {words}\n")
+        with pytest.raises(SuiteError, match="bad integer in entry") as info:
+            parse_suite(tmp_path / "s.qtest")
+        assert info.value.line == 2
+
 
 class TestParseAssignments:
     def test_values_and_empty_entries(self):
         assert parse_assignments("a=3,,b=0x10,") == {"a": 3, "b": 16}
+        assert parse_assignments("a=0,b=0b101,c=0o17,d=0XfF") == {
+            "a": 0, "b": 5, "c": 15, "d": 255,
+        }
         assert parse_assignments("") == {}
 
-    @pytest.mark.parametrize("text", ["a", "=3", "a=x", "a=1,a=2"])
+    @pytest.mark.parametrize(
+        "text",
+        ["a", "=3", "a=x", "a=1,a=2", "a=\u0663", "a=1_0", "a= 3", "a=-3", "a=007"],
+    )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_assignments(text)

@@ -25,13 +25,16 @@ from qforge.reduction import (
     synthesize_from_permutation,
     write_kernels,
 )
-from qforge.source import parse_source
+from qforge.source import parse_source, print_source
 from qforge.statevector import init_state
 
 from helpers import random_x_circuit
 
 SYNTH_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "synth_golden.json").read_text()
+)["cases"]
+SYNTACTIC_GOLDEN = json.loads(
+    (Path(__file__).parent / "data" / "syntactic_golden.json").read_text()
 )["cases"]
 
 
@@ -136,6 +139,31 @@ class TestSpecializeSyntactic:
         with pytest.raises(ValueError):
             specialize_syntactic(c, Specialization({0: 2}))
 
+    @pytest.mark.parametrize(
+        "case", SYNTACTIC_GOLDEN, ids=[f"case{i}" for i in range(len(SYNTACTIC_GOLDEN))]
+    )
+    def test_matches_golden_corpus(self, case):
+        # kernels and refusals recorded from the two-loop walk it replaced
+        gates = tuple(
+            Gate(
+                GateKind(kind),
+                tuple(Index(t) for t in targets),
+                tuple(Control(Index(q), positive) for q, positive in controls),
+            )
+            for kind, targets, controls in case["gates"]
+        )
+        c = Circuit((), case["n"], gates)
+        spec = Specialization({int(q): b for q, b in case["assignments"].items()})
+        if "not_reducible" in case:
+            with pytest.raises(NotReducible) as info:
+                specialize_syntactic(c, spec)
+            assert [info.value.gate_index, info.value.reason] == case["not_reducible"]
+            return
+        k = specialize_syntactic(c, spec)
+        assert print_source(k.circuit) == case["kernel"]
+        assert k.final_constants == {int(q): b for q, b in case["final_constants"].items()}
+        assert k.index_map == {int(q): v for q, v in case["index_map"].items()}
+
 
 class TestExtractPermutation:
     def test_mod_adder_plus_one(self):
@@ -160,9 +188,9 @@ class TestExtractPermutation:
             extract_permutation(c, Specialization({0: 0}))
 
     def test_cap(self):
-        c = Circuit((), 8, (xg(0),))
-        with pytest.raises(UnsupportedForSemanticReduction):
-            extract_permutation(c, Specialization({7: 0}), cap=5)
+        c = Circuit((), 22, (xg(0),))
+        with pytest.raises(UnsupportedForSemanticReduction, match="cap of 20"):
+            extract_permutation(c, Specialization({21: 0}))
 
     def test_warns_when_constants_drift(self):
         c = Circuit((), 2, (xg(0),))
@@ -220,9 +248,9 @@ def per_value_sweep(c, assignments):
 
 
 @st.composite
-def _extraction_cases(draw):
-    """X/SWAP circuits, mixed-polarity controls, n <= 12, 0-3 assigned qubits."""
-    n = draw(st.integers(1, 12))
+def _extraction_cases(draw, max_n=12, min_assigned=0):
+    """X/SWAP circuits, mixed-polarity controls, n <= max_n, up to 3 assigned qubits."""
+    n = draw(st.integers(1, max_n))
     kinds = [GateKind.X, GateKind.SWAP] if n >= 2 else [GateKind.X]
     gates = []
     for _ in range(draw(st.integers(0, 10))):
@@ -236,7 +264,9 @@ def _extraction_cases(draw):
             Control(Index(q), v) for q, v in zip(qubits[n_targets:], polarities)
         )
         gates.append(Gate(kind, targets, controls))
-    assigned = draw(st.permutations(range(n)))[: draw(st.integers(0, min(3, n)))]
+    assigned = draw(st.permutations(range(n)))[
+        : draw(st.integers(min(min_assigned, n), min(3, n)))
+    ]
     assignments = {q: draw(st.integers(0, 1)) for q in assigned}
     return Circuit((), n, tuple(gates)), assignments
 
@@ -263,6 +293,36 @@ def test_extraction_matches_per_value_sweep(case):
         f"specialized qubits end at {constants}, not at their input "
         f"assignment {assignments}"
     ]
+
+
+@pytest.mark.filterwarnings("ignore:specialized qubits end at")
+@settings(max_examples=100, deadline=None)
+@given(_extraction_cases(max_n=10, min_assigned=1))
+def test_every_kernel_embeds_into_its_source(case):
+    # every value of the assigned qubits, so both polarities of each
+    # control on them are exercised; targeted constants come from gates
+    # that target assigned qubits
+    c, assignments = case
+    qubits = sorted(assignments)
+    values = [[(v >> j) & 1 for j in range(len(qubits))] for v in range(1 << len(qubits))]
+    whole = logic_function(c)
+    for outcome in generate_kernels(c, qubits, values).outcomes:
+        fixed = dict(zip(qubits, outcome.value))
+        _, constants, first = per_value_sweep(c, fixed)
+        if outcome.kernel is None:
+            assert isinstance(outcome.error, str) and first is not None
+            continue
+        assert outcome.error is None and first is None
+        kernel = outcome.kernel
+        assert kernel.final_constants == constants
+        step = logic_function(kernel.circuit)
+        for f in range(1 << kernel.circuit.n_qubits):
+            out = whole(embed(f, kernel.index_map, fixed))
+            assert {q: (out >> q) & 1 for q in qubits} == kernel.final_constants
+            out_free = 0
+            for old, new in kernel.index_map.items():
+                out_free |= ((out >> old) & 1) << new
+            assert step(f) == out_free
 
 
 class TestSynthesize:

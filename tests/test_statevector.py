@@ -16,9 +16,7 @@ from qforge.statevector import (
     GATE_MATRICES,
     BasisOutOfRange,
     StateTooLarge,
-    UnloweredSwap,
     apply_gate,
-    apply_swap,
     init_state,
     probabilities,
     run,
@@ -82,8 +80,8 @@ def test_pair_index_disjointness():
 
 
 def test_apply_gate_rejects_swap_and_named_refs():
-    with pytest.raises(UnloweredSwap):
-        apply_gate(init_state(2), Gate(GateKind.SWAP, (Index(0), Index(1))))
+    with pytest.raises(ValueError, match="swap targets are identical"):
+        apply_gate(init_state(2), Gate(GateKind.SWAP, (Index(1), Index(1))))
     with pytest.raises(ValueError, match="resolve"):
         apply_gate(init_state(2), Gate(GateKind.X, (Named("a", 0),)))
 
@@ -102,7 +100,7 @@ def test_apply_swap_matches_dense_oracle():
         amp /= norm(amp)
         s = init_state(n)
         s.amplitudes[:] = amp
-        apply_swap(s, g)
+        apply_gate(s, g)
         expected = dense_unitary(Circuit((), n, (g,))) @ amp
         np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
 
@@ -189,16 +187,10 @@ def _gate(kind: GateKind, qubits, polarities) -> Gate:
     return Gate(kind, targets, controls)
 
 
-def _apply(state, gate: Gate):
-    if gate.kind is GateKind.SWAP:
-        return apply_swap(state, gate)
-    return apply_gate(state, gate)
-
-
 def _check_against_dense(n: int, gate: Gate, amp: np.ndarray) -> None:
     s = init_state(n)
     s.amplitudes[:] = amp
-    _apply(s, gate)
+    apply_gate(s, gate)
     expected = dense_unitary(Circuit((), n, (gate,))) @ amp
     np.testing.assert_allclose(s.amplitudes, expected, atol=1e-12)
 
@@ -287,7 +279,7 @@ def test_gates_allocate_no_state_sized_scratch_and_keep_nothing():
     warm = init_state(4)
     for kind in GateKind:
         for k in range(3):
-            _apply(warm, _gate(kind, [0, 1, 2, 3], [True, False][:k]))
+            apply_gate(warm, _gate(kind, [0, 1, 2, 3], [True, False][:k]))
 
     rng = random.Random(53)
     s = init_state(n)
@@ -308,7 +300,7 @@ def test_gates_allocate_no_state_sized_scratch_and_keep_nothing():
                     scratch = 0 if kind in diagonal else subspace >> n_targets
                     before = tracemalloc.get_traced_memory()[0]
                     tracemalloc.reset_peak()
-                    _apply(s, gate)
+                    apply_gate(s, gate)
                     current, peak = tracemalloc.get_traced_memory()
                     where = f"{kind.value} target {t} with {k} controls"
                     assert peak - before <= scratch + buffers + (64 << 10), where
