@@ -1,7 +1,9 @@
 """qforge command line: check, compile, sim, reduce, test.
 
-Diagnostics go to stderr, results to stdout. Exit codes: 0 success,
-1 user error (bad input, failing tests), 2 internal error.
+Diagnostics go to stderr, results to stdout. Exit codes: 0 success;
+1 usage errors, failing checks, tests or kernels, ``OSError`` and every
+``QforgeError`` (bad input; ``InputError`` for bad values and non-UTF-8
+files); 2 any other exception, a bug, printed with its traceback.
 """
 from __future__ import annotations
 
@@ -13,35 +15,23 @@ from pathlib import Path
 import numpy as np
 
 from .fileio import atomic_write_text
-from .harness import SuiteError, parse_assignments, parse_int, parse_suite, run_suite
+from .harness import parse_assignments, parse_int, parse_suite, run_suite
 from .ir import (
     Circuit,
-    CircuitError,
     Index,
+    InputError,
     Named,
+    QforgeError,
     decode_registers,
     encode_registers,
     register_bases,
 )
-from .logic import BasisState, NonLogicGate, run_logic
-from .passes import CompileError, PassConfig, _resolver, checked, compile_circuit, verify
-from .qp import QPFormatError, emit_qp, parse_qp, to_circuit
-from .reduction import ReductionError, generate_kernels, write_kernels
-from .source import ParseError, parse_source
-from .statevector import StateTooLarge, probabilities, run
-
-_USER_ERRORS = (
-    ParseError,
-    CircuitError,
-    CompileError,
-    QPFormatError,
-    ReductionError,
-    NonLogicGate,
-    SuiteError,
-    StateTooLarge,
-    ValueError,
-    OSError,
-)
+from .logic import BasisState, run_logic
+from .passes import PassConfig, _resolver, checked, compile_circuit, verify
+from .qp import emit_qp, parse_qp, to_circuit
+from .reduction import generate_kernels, write_kernels
+from .source import parse_source
+from .statevector import probabilities, run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -50,11 +40,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"error: {message}\n")
 
 
-def _load_circuit(path: str) -> Circuit:
-    text = Path(path).read_text()
-    if path.endswith(".qp"):
-        return to_circuit(parse_qp(text))
-    return parse_source(text)
+def _read(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as e:
+        raise InputError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
 def _parse_qubit_token(token: str, circuit: Circuit) -> int:
@@ -65,11 +55,11 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         label, _, rest = token.partition("[")
         offset = rest[:-1].strip()
         if not (offset.isascii() and offset.isdigit()):
-            raise ValueError(f"cannot resolve qubit {token!r}")
+            raise InputError(f"cannot resolve qubit {token!r}")
         ref = Named(label, int(offset))
     elif token in bases:
         if bases[token][1] != 1:
-            raise ValueError(f"{token!r} is a register, not a single qubit")
+            raise InputError(f"{token!r} is a register, not a single qubit")
         ref = Named(token, 0)
     else:
         head = token.rstrip("0123456789")
@@ -78,15 +68,15 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         elif token.isascii() and token.isdigit():
             ref = Index(int(token))
         else:
-            raise ValueError(f"cannot resolve qubit {token!r}")
+            raise InputError(f"cannot resolve qubit {token!r}")
     index = _resolver(circuit)(ref)
     if isinstance(index, str):
-        raise ValueError(f"cannot resolve qubit {token!r}: {index}")
+        raise InputError(f"cannot resolve qubit {token!r}: {index}")
     return index
 
 
 def _cmd_check(args) -> int:
-    circuit = parse_source(Path(args.file).read_text())
+    circuit = parse_source(_read(args.file))
     diags = verify(circuit)
     for d in diags:
         print(f"error: gate {d.gate_index}: {d.message}", file=sys.stderr)
@@ -97,7 +87,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    circuit = parse_source(Path(args.file).read_text())
+    circuit = parse_source(_read(args.file))
     cfg = PassConfig(max_controls=args.max_controls)
     program = compile_circuit(circuit, cfg)
     atomic_write_text(args.output, emit_qp(program))
@@ -106,13 +96,17 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_sim(args) -> int:
-    circuit = checked(_load_circuit(args.file))
+    if args.top < 1:
+        raise InputError(f"--top must be at least 1, got {args.top}")
+    text = _read(args.file)
+    qp = args.file.endswith(".qp")
+    circuit = checked(to_circuit(parse_qp(text)) if qp else parse_source(text))
     if "=" in args.prep:
         prep = encode_registers(circuit, parse_assignments(args.prep))
     else:
         prep = parse_int(args.prep or "0")
         if not 0 <= prep < (1 << circuit.n_qubits):
-            raise ValueError(
+            raise InputError(
                 f"prep value {prep} does not fit {circuit.n_qubits} qubits"
             )
     if args.backend == "logic":
@@ -127,24 +121,19 @@ def _cmd_sim(args) -> int:
     probs = probabilities(state)
     # descending probability, ties by ascending index
     order = np.argsort(-probs, kind="stable")
-    shown = 0
-    for i in map(int, order):
-        if shown >= args.top:
-            break
-        if probs[i] < 1e-12 and shown > 0:
+    for rank, i in enumerate(map(int, order[: args.top])):
+        if probs[i] < 1e-12 and rank > 0:
             break
         amp = state.amplitudes[i]
         print(
             f"{i} {format(i, f'0{state.n_qubits}b')} "
             f"{amp.real:.10g} {amp.imag:.10g} {probs[i]:.10g}"
         )
-        shown += 1
     return 0
 
 
 def _cmd_reduce(args) -> int:
-    source_path = Path(args.file)
-    circuit = checked(parse_source(source_path.read_text()))
+    circuit = parse_source(_read(args.file))
     qubit_indices = [
         _parse_qubit_token(tok, circuit) for tok in args.qubits.split(",") if tok
     ]
@@ -152,10 +141,10 @@ def _cmd_reduce(args) -> int:
     for value in args.values.split(","):
         value = value.strip()
         if not all(ch in "01" for ch in value):
-            raise ValueError(f"value {value!r} must be a bit string")
+            raise InputError(f"value {value!r} must be a bit string")
         values.append([int(ch) for ch in value])
     report = generate_kernels(circuit, qubit_indices, values)
-    manifest = write_kernels(report, source_path.stem, args.output)
+    manifest = write_kernels(report, Path(args.file).stem, args.output)
     for entry in manifest["kernels"]:
         if "file" in entry:
             print(f"{entry['value']} {entry['file']} {entry['method']}")
@@ -186,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="lower a circuit and write a .qp file")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--max-controls", type=int, default=2)
+    p.add_argument("--max-controls", type=parse_int, default=2)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("sim", help="simulate a .fqt or .qp circuit")
     p.add_argument("file")
     p.add_argument("--backend", choices=("logic", "sv"), default="sv")
     p.add_argument("--prep", default="", help="register assignments a=3,b=5 or an int")
-    p.add_argument("--top", type=int, default=8, help="amplitudes to print (sv)")
+    p.add_argument("--top", type=parse_int, default=8, help="amplitudes to print (sv)")
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("reduce", help="specialize qubits into kernel circuits")
@@ -219,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
         return int(e.code or 0)
     try:
         return args.func(args)
-    except _USER_ERRORS as e:
+    except (QforgeError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except Exception:

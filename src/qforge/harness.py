@@ -16,21 +16,26 @@ Suite files (``.qtest``) are line oriented::
     expect amp 0 0.70710678 0 tol 1e-6
     expect amp 3 0.70710678 0 tol 1e-6
 
+Register values are ASCII integer literals: decimal, or 0x / 0b / 0o
+prefixed. An amplitude index is ASCII decimal, its real and imaginary
+parts are finite, and its tolerance is finite and at least 0.
+
 A backend mismatch (e.g. a Hadamard under the logic backend) reports
 the case as an error, not a failure.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
-from .ir import Circuit, decode_registers, encode_registers
-from .logic import BasisState, NonLogicGate, run_logic
-from .passes import CompileError, PassConfig, checked, lower
+from .ir import Circuit, InputError, QforgeError, decode_registers, encode_registers
+from .logic import BasisState, run_logic
+from .passes import PassConfig, checked, lower
 from .source import ParseError, parse_source
-from .statevector import StateTooLarge, run
+from .statevector import run
 
 DEFAULT_AMPLITUDE_TOL = 1e-9
 
@@ -40,7 +45,7 @@ class Backend(Enum):
     SV = "sv"
 
 
-class SuiteError(Exception):
+class SuiteError(QforgeError):
     """Malformed suite file."""
 
     def __init__(self, message: str, line: int | None = None):
@@ -109,7 +114,7 @@ def _run_case(case: TestCase, lowered: bool) -> CaseResult:
             out = run_logic(circuit, BasisState(circuit.n_qubits, bits))
         else:
             state = run(circuit, bits)
-    except (CompileError, ValueError, NonLogicGate, StateTooLarge) as e:
+    except QforgeError as e:
         return CaseResult(case.name, "error", str(e))
 
     if case.backend is Backend.LOGIC:
@@ -167,7 +172,7 @@ _INT = re.compile(r"0+|[1-9][0-9]*|0[xX][0-9A-Fa-f]+|0[bB][01]+|0[oO][0-7]+")
 def parse_int(text: str) -> int:
     """An ASCII integer literal: decimal, or 0x / 0b / 0o prefixed."""
     if not _INT.fullmatch(text):
-        raise ValueError(f"bad integer {text!r}")
+        raise InputError(f"bad integer {text!r}")
     return int(text, 0)
 
 
@@ -179,13 +184,13 @@ def parse_assignments(text: str) -> dict[str, int]:
             continue
         name, eq, value = part.partition("=")
         if not eq or not name:
-            raise ValueError(f"bad entry {part!r}")
+            raise InputError(f"bad entry {part!r}")
         if name in out:
-            raise ValueError(f"register {name!r} assigned twice")
+            raise InputError(f"register {name!r} assigned twice")
         try:
             out[name] = parse_int(value)
-        except ValueError:
-            raise ValueError(f"bad integer in entry {part!r}") from None
+        except InputError:
+            raise InputError(f"bad integer in entry {part!r}") from None
     return out
 
 
@@ -198,7 +203,7 @@ def parse_suite(path: str | Path) -> list[TestCase]:
     cases: list[TestCase] = []
     loaded: dict[Path, Circuit] = {}
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8")
     except UnicodeDecodeError as e:
         raise SuiteError(f"cannot read suite {path}: not UTF-8 ({e.reason})") from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -210,10 +215,12 @@ def parse_suite(path: str | Path) -> list[TestCase]:
         if keyword == "circuit":
             if len(words) != 2:
                 raise SuiteError("circuit takes one path", lineno)
+            if "\0" in words[1]:  # open() raises ValueError on it
+                raise SuiteError("circuit path contains a NUL byte", lineno)
             target = base / words[1]
             if target not in loaded:
                 try:
-                    loaded[target] = parse_source(target.read_text())
+                    loaded[target] = parse_source(target.read_text(encoding="utf-8"))
                 except OSError as e:
                     raise SuiteError(f"cannot read circuit: {e}", lineno) from None
                 except UnicodeDecodeError as e:
@@ -240,7 +247,7 @@ def parse_suite(path: str | Path) -> list[TestCase]:
                     raise SuiteError(f"{key} given twice", lineno)
                 try:
                     given[key] = parse_assignments(words[i + 1])
-                except ValueError as e:
+                except InputError as e:
                     raise SuiteError(f"{key}: {e}", lineno) from None
             if "expect" in given and backend is not Backend.LOGIC:
                 raise SuiteError("register expectations need the logic backend", lineno)
@@ -256,16 +263,19 @@ def parse_suite(path: str | Path) -> list[TestCase]:
                 )
             if cases[-1].backend is not Backend.SV:
                 raise SuiteError("amplitude expectations need the sv backend", lineno)
+            if not (words[2].isascii() and words[2].isdigit()):
+                raise SuiteError("amplitude index must be ASCII decimal", lineno)
             try:
-                cases[-1].expect_amplitudes.append(
-                    AmplitudeExpectation(
-                        index=int(words[2]),
-                        amplitude=complex(float(words[3]), float(words[4])),
-                        tolerance=float(words[6]),
-                    )
-                )
+                real, imag, tol = (float(words[k]) for k in (3, 4, 6))
             except ValueError:
                 raise SuiteError("bad number in amplitude expectation", lineno) from None
+            if not (math.isfinite(real) and math.isfinite(imag)):
+                raise SuiteError("amplitude parts must be finite", lineno)
+            if not 0 <= tol < math.inf:  # also false for nan
+                raise SuiteError("tolerance must be finite and at least 0", lineno)
+            cases[-1].expect_amplitudes.append(
+                AmplitudeExpectation(int(words[2]), complex(real, imag), tol)
+            )
         else:
             raise SuiteError(f"unknown keyword {keyword!r}", lineno)
     return cases

@@ -19,7 +19,15 @@ from enum import Enum
 from typing import Callable, Sequence
 
 
-class CircuitError(Exception):
+class QforgeError(Exception):
+    """Root of every error that bad input can cause; the CLI exits 1 on it."""
+
+
+class InputError(QforgeError, ValueError):
+    """A value from outside the program (a flag, a prep, a file) is invalid."""
+
+
+class CircuitError(QforgeError):
     """Base class for errors raised while building circuits."""
 
 
@@ -188,10 +196,10 @@ def encode_registers(c: Circuit, values: dict[str, int]) -> int:
     for label, value in values.items():
         entry = bases.get(label)
         if entry is None:
-            raise ValueError(f"prep names unknown register {label!r}")
+            raise InputError(f"prep names unknown register {label!r}")
         base, size = entry
         if not 0 <= value < (1 << size):
-            raise ValueError(
+            raise InputError(
                 f"prep {label}={value} does not fit the {size}-qubit register"
             )
         bits |= value << base

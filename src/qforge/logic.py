@@ -20,10 +20,10 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import Circuit, GateKind, index_of
+from .ir import Circuit, GateKind, QforgeError, index_of
 
 
-class NonLogicGate(Exception):
+class NonLogicGate(QforgeError):
     """A gate outside the NOT family reached the logic simulator."""
 
     def __init__(self, kind: GateKind, gate_index: int):

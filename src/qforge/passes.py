@@ -22,13 +22,15 @@ from .ir import (
     Gate,
     GateKind,
     Index,
+    InputError,
+    QforgeError,
     QubitRef,
     register_bases,
 )
 from .qp import QPProgram, from_circuit
 
 
-class CompileError(Exception):
+class CompileError(QforgeError):
     """A pipeline stage failed; carries the stage name."""
 
     def __init__(self, pass_name: str, message: str):
@@ -48,7 +50,7 @@ class PassConfig:
 
     def __post_init__(self) -> None:
         if self.max_controls < 2:
-            raise ValueError(
+            raise InputError(
                 f"max_controls must be at least 2, got {self.max_controls}"
             )
 
@@ -146,13 +148,13 @@ def resolve_names(c: Circuit) -> tuple[Circuit, dict[tuple[str, int], int]]:
     Registers map to indices in declaration order, offset-ascending.
     Returns the indexed circuit together with the full mapping table
     (label, offset) -> index. Already-indexed circuits pass through
-    unchanged. Raises ValueError naming the first unresolvable
+    unchanged. Raises InputError naming the first unresolvable
     reference; other diagnostics are verify's business.
     """
     gates, diags = _resolve(c)
     for d in diags:
         if gates[d.gate_index] is None:
-            raise ValueError(d.message)
+            raise InputError(d.message)
     table = {
         (label, off): base + off
         for label, (base, size) in register_bases(c).items()

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .ir import Circuit, Control, Gate, GateKind, Index
+from .ir import Circuit, Control, Gate, GateKind, Index, QforgeError
 
 OPCODES: dict[GateKind, int] = {
     GateKind.X: 1,
@@ -41,7 +41,7 @@ _QP_CHARS = re.compile(r"[0-9\s-]*", re.ASCII)
 _QP_TOKEN = re.compile(r"\S+", re.ASCII)
 
 
-class QPFormatError(Exception):
+class QPFormatError(QforgeError):
     """Base class for malformed QP text or programs."""
 
 

@@ -38,9 +38,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fileio import atomic_write_text
-from .ir import Circuit, Control, Gate, GateKind, Index, is_indexed
+from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError, is_indexed
 from .logic import NonLogicGate, run_planes
-from .passes import verify
+from .passes import _resolve
 from .source import print_source
 
 # most free qubits the semantic path sweeps; it bounds the bit planes'
@@ -48,7 +48,7 @@ from .source import print_source
 SEMANTIC_MAX_FREE = 20
 
 
-class ReductionError(Exception):
+class ReductionError(QforgeError):
     """Base class for reduction failures."""
 
 
@@ -131,9 +131,9 @@ def find_control_only_qubits(c: Circuit) -> set[int]:
 def _check_assignments(c: Circuit, assignments: Mapping[int, int]) -> None:
     for q, bit in assignments.items():
         if not 0 <= q < c.n_qubits:
-            raise ValueError(f"specialized qubit {q} not in circuit of {c.n_qubits}")
+            raise InputError(f"specialized qubit {q} not in circuit of {c.n_qubits}")
         if bit not in (0, 1):
-            raise ValueError(f"assignment for qubit {q} must be 0 or 1, got {bit}")
+            raise InputError(f"assignment for qubit {q} must be 0 or 1, got {bit}")
 
 
 def _free_index_map(n: int, assignments: Mapping[int, int]) -> dict[int, int]:
@@ -351,30 +351,30 @@ def generate_kernels(
 ) -> ReductionReport:
     """One kernel per assignment value, syntactic first, semantic fallback.
 
-    values[i][j] is the bit assigned to qubit_indices[j]. Failures are
-    recorded per value and do not abort the remaining ones. A circuit
-    that ``verify`` rejects raises ValueError before any value is tried:
-    its gates have no defined meaning to evaluate.
+    values[i][j] is the bit assigned to qubit_indices[j]. Named
+    references are resolved first. Failures are recorded per value and
+    do not abort the remaining ones. A circuit that ``verify`` rejects
+    raises InputError before any value is tried: its gates have no
+    defined meaning to evaluate.
     """
-    if not is_indexed(c):
-        raise ValueError("circuit must be indexed; run resolve_names first")
-    diags = verify(c)
+    gates, diags = _resolve(c)
     if diags:
         d = diags[0]
-        raise ValueError(f"circuit fails verify: gate {d.gate_index}: {d.message}")
+        raise InputError(f"circuit fails verify: gate {d.gate_index}: {d.message}")
+    c = Circuit(c.registers, c.n_qubits, tuple(gates))
     if len(set(qubit_indices)) != len(qubit_indices):
-        raise ValueError("specialized qubits must be pairwise distinct")
+        raise InputError("specialized qubits must be pairwise distinct")
     outcomes: list[KernelOutcome] = []
     for value in values:
         bits = tuple(int(b) for b in value)
         try:
             if len(bits) != len(qubit_indices):
-                raise ValueError(
+                raise InputError(
                     f"value width {len(bits)} != qubit count {len(qubit_indices)}"
                 )
             spec = Specialization(dict(zip(qubit_indices, bits)))
             outcomes.append(KernelOutcome(bits, kernel=_reduce(c, spec)))
-        except (ValueError, ReductionError) as e:
+        except QforgeError as e:
             outcomes.append(KernelOutcome(bits, error=str(e)))
     return ReductionReport(tuple(outcomes))
 

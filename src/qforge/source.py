@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import re
 
-from .ir import Circuit, Control, Gate, GateKind, Named, QubitRef, register_bases
+from .ir import Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef, register_bases
 
 _GATES = {k.value: k for k in GateKind}
 
@@ -31,7 +31,7 @@ _OPERAND = re.compile(rf"\s*(!?)\s*({_WORD})?\s*(\[)?\s*([0-9]+)?\s*(\])?")
 _OPERAND_PARTS = ("'!'", "a qubit operand", "'['", "an offset", "']'")
 
 
-class ParseError(Exception):
+class ParseError(QforgeError):
     """Source error with a 1-based line and column position."""
 
     def __init__(self, message: str, line: int, col: int):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind, index_of
+from .ir import Circuit, Gate, GateKind, InputError, QforgeError, index_of
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -46,11 +46,11 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
 }
 
 
-class BasisOutOfRange(Exception):
+class BasisOutOfRange(QforgeError):
     """Requested preparation index does not fit the register."""
 
 
-class StateTooLarge(Exception):
+class StateTooLarge(QforgeError):
     """The amplitudes and one kernel temporary exceed physical memory."""
 
 
@@ -75,7 +75,7 @@ def init_state(n_qubits: int, basis: int = 0) -> StateVector:
     half-size temporary of a gate does not fit in physical memory.
     """
     if n_qubits < 1:
-        raise ValueError(f"n_qubits must be positive, got {n_qubits}")
+        raise InputError(f"n_qubits must be positive, got {n_qubits}")
     if not 0 <= basis < (1 << n_qubits):
         raise BasisOutOfRange(
             f"basis index {basis} out of range for {n_qubits} qubits"

@@ -1,14 +1,22 @@
 """End-to-end CLI behaviour: outputs, exit codes, atomic writes."""
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from qforge.cli import main
+from qforge.harness import SuiteError
+from qforge.ir import CircuitError, InputError, QforgeError
 from qforge.library import fixture_path
-from qforge.logic import logic_function
-from qforge.passes import resolve_names
-from qforge.source import parse_source
+from qforge.logic import NonLogicGate, logic_function
+from qforge.passes import CompileError, resolve_names
+from qforge.qp import QPFormatError, parse_qp, to_circuit
+from qforge.reduction import ReductionError
+from qforge.source import ParseError, parse_source
+from qforge.statevector import BasisOutOfRange, StateTooLarge
 
 FULLADD = "cuccaro_fulladd4.fqt"
 MODADD = "cuccaro_modadd4_rearranged.fqt"
@@ -83,6 +91,17 @@ class TestCompile:
         assert out.read_text() == "4 1 3  1 0 1 2 3"
 
 
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "-3", "1"])
+    def test_max_controls_needs_an_ascii_integer_of_at_least_two(
+        self, tmp_path, value, capsys
+    ):
+        out = tmp_path / "x.qp"
+        args = ["compile", fixture_path(MODADD), "-o", str(out), f"--max-controls={value}"]
+        assert main(args) == 1
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestSim:
     def test_logic_backend_register_report(self, capsys):
         code = main(
@@ -144,6 +163,17 @@ class TestSim:
         args = ["sim", fixture_path(FULLADD), "--backend", "logic"]
         assert main(args + ["--prep", "b=1,b=2"]) == 1
         assert "twice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["\u0663", "1_0", "0", "-3"])
+    def test_top_needs_a_positive_ascii_integer(self, value, capsys):
+        assert main(["sim", fixture_path(FULLADD), f"--top={value}"]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith(("usage:", "error: --top"))
+
+    def test_empty_circuit_is_user_error(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, "empty.fqt", "# nothing\n")
+        assert main(["sim", path]) == 1
+        assert "n_qubits must be positive" in capsys.readouterr().err
 
     def test_verify_failure_is_one_line(self, tmp_path, capsys):
         path = write_circuit(tmp_path, "bad.fqt", "qreg q 2\nx q[5]\nx q[6]\n")
@@ -315,6 +345,172 @@ class TestGolden:
         assert written == {
             name: text.encode() for name, text in GOLDEN["reduce_files"].items()
         }
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["check"],
+        ["compile", "-o", "x.qp"],
+        ["sim"],
+        ["reduce", "--qubits", "a0", "--values", "0", "-o", "k"],
+    ],
+)
+def test_non_utf8_file_is_user_error(tmp_path, command, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.fqt").write_bytes(b"qreg a 1\nx a[0] # \xff\n")
+    assert main([command[0], "bad.fqt", *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith("error: cannot read bad.fqt: not UTF-8 (")
+
+
+def test_user_errors_share_one_root():
+    for error in (
+        CircuitError, ParseError, CompileError, QPFormatError, ReductionError,
+        NonLogicGate, SuiteError, StateTooLarge, BasisOutOfRange, InputError,
+    ):
+        assert issubclass(error, QforgeError)
+    assert issubclass(InputError, ValueError)
+
+
+def test_internal_error_exits_two(monkeypatch, capsys):
+    def broken(circuit):
+        raise ValueError("a bug, not bad input")
+
+    monkeypatch.setattr("qforge.cli.verify", broken)
+    assert main(["check", fixture_path(FULLADD)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" in err and "ValueError: a bug, not bad input" in err
+
+
+# Inputs for the totality property. Each is mostly well formed, so that
+# the later stages of a command run too, and otherwise damaged or raw
+# bytes. Registers of at most 3 qubits keep every circuit at most 9
+# qubits wide, so no state vector or reduction sweep gets large.
+def _mostly(good, bad):
+    """good five draws in six; st.one_of would draw each side evenly."""
+    return st.integers(0, 5).flatmap(lambda i: bad if i == 5 else good)
+
+
+_GOOD_INT = st.sampled_from(["0", "1", "2", "3", "5", "007", "0x2", "0b11"])
+_BAD_INT = st.sampled_from(["", "-1", "99", "\u0663", "1_0", " 3", "nan", "inf", "1e-9"])
+_INT = _mostly(_GOOD_INT, _BAD_INT | st.text(max_size=3))
+_ASSIGNMENTS = st.lists(
+    st.builds("{}={}".format, _mostly(st.sampled_from("ab"), st.sampled_from("cz")), _INT),
+    max_size=2,
+).map(",".join)
+_DECLS = st.lists(
+    st.builds("qreg {} {}".format, st.sampled_from("abc"), st.integers(1, 3)),
+    unique_by=lambda line: line[5],
+    max_size=3,
+)
+_TARGET = st.builds("{}[{}]".format, st.sampled_from("ab"), st.integers(0, 2))
+_CONTROLS = st.lists(
+    st.builds("{}{}".format, st.sampled_from(["", "", "!"]), _TARGET), max_size=3
+)
+_GATE = st.builds(
+    lambda gate, targets, controls: " ".join([gate, *targets, *controls]),
+    st.sampled_from(["x", "x", "X", "h", "z", "t", "swap"]),
+    st.lists(_TARGET, min_size=1, max_size=2),
+    _CONTROLS,
+)
+_FQT = _mostly(
+    st.builds(
+        lambda decls, body, junk: "\n".join(decls + body + junk).encode(),
+        _mostly(st.just(["qreg a 3", "qreg b 3"]), _DECLS),
+        st.lists(_GATE, max_size=6),
+        _mostly(st.just([]), st.lists(st.text(max_size=8), max_size=1)),
+    ),
+    st.binary(max_size=30),
+)
+
+
+@st.composite
+def _qp_programs(draw):
+    n, m = draw(st.integers(1, 6)), draw(st.integers(2, 3))
+    qubit = st.integers(0, n - 1)
+    record = st.tuples(
+        _mostly(st.integers(1, 8), st.integers(-1, 9)),
+        _mostly(qubit, st.integers(-1, n)),
+        *[_mostly(st.just(-1), st.integers(-1, n))] * m,
+    )
+    records = draw(st.lists(record, max_size=5))
+    values = [n, len(records), m] + [v for r in records for v in r]
+    if draw(st.integers(0, 3)) == 0:
+        values = values[: draw(st.integers(0, len(values)))]
+    return " ".join(map(str, values)).encode()
+
+
+_QP = _mostly(_qp_programs(), st.binary(max_size=30))
+_AMP = _mostly(st.sampled_from(["0", "1", "0.5", "1e-9"]), _BAD_INT)
+_QTEST_LINE = st.one_of(
+    st.sampled_from(["backend logic", "backend sv", "backend qpu", "case", "# note"]),
+    st.builds("case {} prep {}".format, st.sampled_from("pq"), _ASSIGNMENTS),
+    st.builds(
+        "case {} prep {} expect {}".format, st.sampled_from("pq"), _ASSIGNMENTS,
+        _ASSIGNMENTS,
+    ),
+    st.builds("expect amp {} {} {} tol {}".format, _INT, _AMP, _AMP, _AMP),
+    st.text(max_size=10),
+)
+_QTEST = _mostly(
+    st.builds(
+        lambda head, body: "\n".join([head, *body]).encode(),
+        _mostly(st.just("circuit c.fqt"), st.sampled_from(["circuit no.fqt", "circuit"])),
+        st.lists(_QTEST_LINE, max_size=6),
+    ),
+    st.binary(max_size=30),
+)
+_PREP = _mostly(_GOOD_INT | _ASSIGNMENTS, _BAD_INT | st.text(max_size=4))
+_COUNT = _mostly(st.sampled_from(["2", "3", "8", "0x3"]), _BAD_INT | st.just("0"))
+_QUBITS = _mostly(
+    st.lists(st.sampled_from(["a0", "a[1]", "b", "c", "0", "4"]), max_size=3),
+    st.lists(st.sampled_from(["a [2]", "zz9", "a[\u0663]", "9", ""]), max_size=2),
+).map(",".join)
+_VALUES = st.lists(
+    _mostly(st.text("01", min_size=1, max_size=3), st.text(max_size=2)), max_size=3
+).map(",".join)
+
+
+def _width(data: bytes, qp: bool) -> int:
+    """Qubits of the circuit in data, 0 when it does not load."""
+    try:
+        text = data.decode()
+        return (to_circuit(parse_qp(text)) if qp else parse_source(text)).n_qubits
+    except (UnicodeDecodeError, QforgeError):
+        return 0
+
+
+@pytest.mark.parametrize(
+    "command", ["check", "compile", "sim-logic", "sim-sv", "sim-qp", "test", "reduce"]
+)
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(
+    fqt=_FQT, qp=_QP, qtest=_QTEST, prep=_PREP, count=_COUNT, qubits=_QUBITS,
+    values=_VALUES, lower=st.booleans(), backend=st.sampled_from(["logic", "sv"]),
+)
+def test_cli_is_total(
+    command, fqt, qp, qtest, prep, count, qubits, values, lower, backend, tmp_path, capsys
+):
+    assume(_width(fqt, qp=False) <= 10 and _width(qp, qp=True) <= 10)
+    work = Path(tempfile.mkdtemp(dir=tmp_path))
+    (work / "c.fqt").write_bytes(fqt)
+    (work / "c.qp").write_bytes(qp)
+    (work / "s.qtest").write_bytes(qtest)
+    circuit = str(work / "c.fqt")
+    argv = {
+        "check": ["check", circuit],
+        "compile": ["compile", circuit, "-o", str(work / "out.qp"), f"--max-controls={count}"],
+        "sim-logic": ["sim", circuit, "--backend", "logic", f"--prep={prep}"],
+        "sim-sv": ["sim", circuit, "--backend", "sv", f"--prep={prep}", f"--top={count}"],
+        "sim-qp": ["sim", str(work / "c.qp"), "--backend", backend, f"--prep={prep}"],
+        "test": ["test", str(work / "s.qtest")] + ["--lower"] * lower,
+        "reduce": ["reduce", circuit, f"--qubits={qubits}", f"--values={values}",
+                   "-o", str(work / "k")],
+    }[command]
+    assert main(argv) in (0, 1), capsys.readouterr().err
+
 
 
 def test_usage_errors_exit_one(capsys):

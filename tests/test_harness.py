@@ -109,6 +109,12 @@ class TestRunSuite:
         assert "40 qubits need" in wide_result.message
         assert ok_result.status == "pass"
 
+    def test_sv_case_on_empty_circuit_is_error(self):
+        empty = TestCase(name="empty", circuit=new_circuit(), backend=Backend.SV)
+        (result,) = run_suite([empty]).results
+        assert result.status == "error"
+        assert "n_qubits must be positive" in result.message
+
     def test_sv_amplitudes_pass(self):
         case = TestCase(
             name="bell",
@@ -266,6 +272,40 @@ class TestParseSuite:
         path.write_bytes(b"# \xff\n")
         with pytest.raises(SuiteError, match=r"cannot read suite .*s\.qtest: not UTF-8 \("):
             parse_suite(path)
+
+    @pytest.mark.parametrize(
+        "line, match",
+        [
+            ("expect amp \u0660 1 0 tol 1e-9", "index must be ASCII decimal"),
+            ("expect amp 1_0 1 0 tol 1e-9", "index must be ASCII decimal"),
+            ("expect amp 0 nan 0 tol 1e-9", "parts must be finite"),
+            ("expect amp 0 1 -inf tol 1e-9", "parts must be finite"),
+            ("expect amp 1 5 0 tol nan", "tolerance must be finite"),
+            ("expect amp 1 5 0 tol inf", "tolerance must be finite"),
+            ("expect amp 0 1 0 tol -1", "tolerance must be finite and at least 0"),
+        ],
+    )
+    def test_amplitude_numbers_are_checked(self, tmp_path, line, match):
+        (tmp_path / "c.fqt").write_text("qreg q 3\n")
+        (tmp_path / "s.qtest").write_text(f"circuit c.fqt\nbackend sv\ncase z\n{line}\n")
+        with pytest.raises(SuiteError, match=match) as info:
+            parse_suite(tmp_path / "s.qtest")
+        assert info.value.line == 4
+
+    def test_exact_amplitude_with_zero_tolerance(self, tmp_path):
+        (tmp_path / "c.fqt").write_text("qreg q 3\n")
+        (tmp_path / "s.qtest").write_text(
+            "circuit c.fqt\nbackend sv\ncase z\nexpect amp 000 1 0 tol 0\n"
+        )
+        (case,) = parse_suite(tmp_path / "s.qtest")
+        assert case.expect_amplitudes == [AmplitudeExpectation(0, 1, 0.0)]
+        assert run_suite([case]).all_passed
+
+    def test_circuit_path_with_nul_byte(self, tmp_path):
+        (tmp_path / "s.qtest").write_text("# header\ncircuit c\0.fqt\n")
+        with pytest.raises(SuiteError, match="NUL byte") as info:
+            parse_suite(tmp_path / "s.qtest")
+        assert info.value.line == 2
 
     @pytest.mark.parametrize("words", ["prep q=\u0663", "expect q=1_0"])
     def test_non_ascii_or_underscored_value(self, tmp_path, words):

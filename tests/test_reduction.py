@@ -440,6 +440,22 @@ class TestGenerateKernels:
         with pytest.raises(ValueError, match="verify: gate 1: target qubit 1"):
             generate_kernels(bad, [0], [[0], [1]])
 
+    def test_named_circuit_reduces_like_its_resolved_form(self):
+        named = mod_add(4, AdderLayout.A_REGISTER_FIRST)
+        resolved, _ = resolve_names(named)
+        methods = []
+        for qubit_list, values in (
+            ([3, 2, 1, 0, 8], [[0, 0, 0, 1, 0], [1]]),  # semantic; bad width
+            ([3], [[1]]),  # a3 is control-only: syntactic
+            ([4], [[0]]),  # b0 is a target: entangled
+            ([], [[]]),
+        ):
+            report = generate_kernels(named, qubit_list, values)
+            assert report == generate_kernels(resolved, qubit_list, values)
+            methods += [o.error or o.kernel.specialization.method for o in report.outcomes]
+        assert methods[:3] == ["semantic", "value width 1 != qubit count 5", "syntactic"]
+        assert "constant" in methods[3] and methods[4] == "syntactic"
+
     def test_memory_halves_per_specialized_qubit(self):
         c = indexed_mod_add()
         report = generate_kernels(c, [3, 2, 1, 0, 8], [[0, 0, 0, 1, 0]])
