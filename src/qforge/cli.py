@@ -105,10 +105,6 @@ def _cmd_sim(args) -> int:
         prep = encode_registers(circuit, parse_assignments(args.prep))
     else:
         prep = parse_int(args.prep or "0")
-        if not 0 <= prep < (1 << circuit.n_qubits):
-            raise InputError(
-                f"prep value {prep} does not fit {circuit.n_qubits} qubits"
-            )
     if args.backend == "logic":
         out = run_logic(circuit, BasisState(circuit.n_qubits, prep))
         if circuit.registers:

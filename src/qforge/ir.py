@@ -27,6 +27,16 @@ class InputError(QforgeError, ValueError):
     """A value from outside the program (a flag, a prep, a file) is invalid."""
 
 
+class BasisOutOfRange(InputError):
+    """A basis value does not fit the qubits it is meant for."""
+
+
+# Most qubits a parsed circuit or QP program may declare, and one more
+# than the most controls a QP record may carry: every basis value, bit
+# string and index map a command builds stays under 64 Ki entries.
+MAX_QUBITS = 1 << 16
+
+
 class CircuitError(QforgeError):
     """Base class for errors raised while building circuits."""
 
@@ -198,12 +208,17 @@ def encode_registers(c: Circuit, values: dict[str, int]) -> int:
         if entry is None:
             raise InputError(f"prep names unknown register {label!r}")
         base, size = entry
-        if not 0 <= value < (1 << size):
-            raise InputError(
-                f"prep {label}={value} does not fit the {size}-qubit register"
-            )
-        bits |= value << base
+        bits |= check_basis(value, size, f"register {label!r} value") << base
     return bits
+
+
+def check_basis(value: int, width: int, what: str = "basis value") -> int:
+    """The value, if it is a width-qubit basis value; never builds 2**width."""
+    if value < 0 or value.bit_length() > width:
+        # str() of an int of thousands of digits raises ValueError
+        shown = value if value.bit_length() <= 64 else f"of {value.bit_length()} bits"
+        raise BasisOutOfRange(f"{what} {shown} does not fit {width} qubits")
+    return value
 
 
 def decode_registers(c: Circuit, bits: int) -> dict[str, int]:
@@ -221,18 +236,6 @@ def index_of(ref: QubitRef, n: int) -> int:
     if not 0 <= ref.index < n:
         raise ValueError(f"qubit index {ref.index} out of range for {n} qubits")
     return ref.index
-
-
-def is_indexed(c: Circuit) -> bool:
-    """True when every qubit reference in the circuit is an Index."""
-    for g in c.gates:
-        for t in g.targets:
-            if not isinstance(t, Index):
-                return False
-        for k in g.controls:
-            if not isinstance(k.qubit, Index):
-                return False
-    return True
 
 
 def new_circuit(*registers: tuple[str, int], n_qubits: int = 0) -> Circuit:

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from .ir import Circuit, GateKind, QforgeError, index_of
+from .ir import Circuit, GateKind, QforgeError, check_basis, index_of
 
 
 class NonLogicGate(QforgeError):
@@ -43,10 +43,7 @@ class BasisState:
     bits: int
 
     def __post_init__(self) -> None:
-        if not 0 <= self.bits < (1 << self.n_qubits):
-            raise ValueError(
-                f"bits 0x{self.bits:x} out of range for {self.n_qubits} qubits"
-            )
+        check_basis(self.bits, self.n_qubits)
 
 
 def run_logic(c: Circuit, state: BasisState) -> BasisState:

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from functools import cache
 
 from .ir import (
+    MAX_QUBITS,
     Circuit,
     Control,
     Gate,
@@ -42,16 +43,16 @@ class CompileError(QforgeError):
 class PassConfig:
     """Architecture limits for lowering.
 
-    max_controls is the largest control count the target accepts; 2 is
-    the minimum, since the expansion scheme itself needs Toffolis.
+    max_controls is the largest control count the target accepts, from
+    2 (the expansion scheme itself needs Toffolis) to MAX_QUBITS - 1.
     """
 
     max_controls: int = 2
 
     def __post_init__(self) -> None:
-        if self.max_controls < 2:
+        if not 2 <= self.max_controls < MAX_QUBITS:
             raise InputError(
-                f"max_controls must be at least 2, got {self.max_controls}"
+                f"max_controls must be 2 to {MAX_QUBITS - 1}, got {self.max_controls}"
             )
 
 
@@ -84,14 +85,13 @@ def _resolver(c: Circuit):
     return resolve
 
 
-def _resolve(c: Circuit, build: bool = True) -> tuple[list[Gate | None], list[Diagnostic]]:
+def _resolve(c: Circuit) -> tuple[list[Gate | None], list[Diagnostic]]:
     """The one walk behind verify, resolve_names and checked.
 
     Returns every gate with its references indexed (None for a gate
     with an unresolvable reference) and the well-formedness diagnostics
     in gate order; a broken gate's first diagnostic names its first
-    unresolvable reference. With ``build=False`` only the diagnostics
-    are collected and the gate list comes back empty.
+    unresolvable reference.
     """
     resolve = _resolver(c)
     # resolved references repeat across gates; build each one once
@@ -105,8 +105,7 @@ def _resolve(c: Circuit, build: bool = True) -> tuple[list[Gate | None], list[Di
         refs = targets + controls
         if str in map(type, refs):
             diags.extend(Diagnostic(gi, r) for r in refs if isinstance(r, str))
-            if build:
-                gates.append(None)
+            gates.append(None)
             continue
         if len(set(refs)) < len(refs):  # some qubit is named twice
             if g.kind is GateKind.SWAP and targets[0] == targets[1]:
@@ -124,11 +123,10 @@ def _resolve(c: Circuit, build: bool = True) -> tuple[list[Gate | None], list[Di
                 else:
                     both = f"qubit {q} is both a positive and a negative control"
                     diags.append(Diagnostic(gi, both))
-        if build:
-            indexed_controls = tuple(
-                control(q, k.positive) for q, k in zip(controls, g.controls)
-            )
-            gates.append(Gate(g.kind, tuple(map(index, targets)), indexed_controls))
+        indexed_controls = tuple(
+            control(q, k.positive) for q, k in zip(controls, g.controls)
+        )
+        gates.append(Gate(g.kind, tuple(map(index, targets)), indexed_controls))
     return gates, diags
 
 
@@ -139,7 +137,7 @@ def verify(c: Circuit) -> list[Diagnostic]:
     controls, duplicate or contradictory controls, and swaps whose two
     targets coincide.
     """
-    return _resolve(c, build=False)[1]
+    return _resolve(c)[1]
 
 
 def resolve_names(c: Circuit) -> tuple[Circuit, dict[tuple[str, int], int]]:

@@ -6,7 +6,8 @@ per gate, ``opcode target c1 .. cM`` with -1 marking unused control
 slots. Every token is ASCII ``-?[0-9]+``, and any amount of ASCII
 whitespace separates tokens. There are no strings and no floats, so
 the file is trivially diffable and trivially consumed by a hardware
-host.
+host. ``n_qubits`` is at most ``ir.MAX_QUBITS`` (65,536) and
+``max_controls`` at most one less.
 
 Opcodes: 1=x 2=y 3=z 4=h 5=s 6=sdg 7=t 8=tdg. SWAP has no opcode on
 purpose; it must be lowered before a program can be emitted.
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .ir import Circuit, Control, Gate, GateKind, Index, QforgeError
+from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, QforgeError
 
 OPCODES: dict[GateKind, int] = {
     GateKind.X: 1,
@@ -96,10 +97,12 @@ class QPProgram:
 
 
 def _check_header(n_qubits: int, max_controls: int) -> None:
-    if n_qubits < 1:
-        raise BadIndex(f"n_qubits must be positive, got {n_qubits}", n_qubits)
-    if max_controls < 2:
-        raise InvariantViolation(f"max_controls must be at least 2, got {max_controls}")
+    if not 1 <= n_qubits <= MAX_QUBITS:
+        raise BadIndex(f"n_qubits must be 1 to {MAX_QUBITS}, got {n_qubits}", n_qubits)
+    if not 2 <= max_controls < MAX_QUBITS:
+        raise InvariantViolation(
+            f"max_controls must be 2 to {MAX_QUBITS - 1}, got {max_controls}"
+        )
 
 
 def _check_gate(g: QPGate, gi: int, n_qubits: int, max_controls: int) -> None:

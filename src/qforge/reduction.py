@@ -30,7 +30,6 @@ printed and run like any other circuit.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,7 +37,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fileio import atomic_write_text
-from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError, is_indexed
+from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError, index_of
 from .logic import NonLogicGate, run_planes
 from .passes import _resolve
 from .source import print_source
@@ -91,7 +90,8 @@ class ReducedKernel:
 
     index_map sends old free-qubit indices to their dense new ones;
     final_constants gives the classical output bit of every
-    specialized qubit.
+    specialized qubit, so a bit that differs from its assignment is
+    the record of a qubit that ends flipped.
     """
 
     circuit: Circuit
@@ -122,9 +122,7 @@ class ReductionReport:
 
 def find_control_only_qubits(c: Circuit) -> set[int]:
     """Qubits that never appear as a gate target: ideal specialization picks."""
-    if not is_indexed(c):
-        raise ValueError("circuit must be indexed; run resolve_names first")
-    targeted = {t.index for g in c.gates for t in g.targets}
+    targeted = {index_of(t, c.n_qubits) for g in c.gates for t in g.targets}
     return set(range(c.n_qubits)) - targeted
 
 
@@ -152,21 +150,21 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
     Raises NotReducible at the first gate whose effect on a specialized
     qubit cannot be evaluated classically.
     """
-    if not is_indexed(c):
-        raise ValueError("circuit must be indexed; run resolve_names first")
     _check_assignments(c, spec.assignments)
+    n = c.n_qubits
     tracked = dict(spec.assignments)
-    index_map = _free_index_map(c.n_qubits, tracked)
+    index_map = _free_index_map(n, tracked)
     out: list[Gate] = []
     for gi, g in enumerate(c.gates):
-        keep: list[Control] = []  # the free controls
+        keep: list[tuple[int, bool]] = []  # the free controls
         fires = True  # every specialized control holds
         for k in g.controls:
-            if k.qubit.index in tracked:
-                fires = fires and tracked[k.qubit.index] == k.positive
+            q = index_of(k.qubit, n)
+            if q in tracked:
+                fires = fires and tracked[q] == k.positive
             else:
-                keep.append(k)
-        targets = [t.index for t in g.targets]
+                keep.append((q, k.positive))
+        targets = [index_of(t, n) for t in g.targets]
         if any(t in tracked for t in targets):
             if g.kind is not GateKind.X:
                 raise NotReducible(gi, f"{g.kind.value} gate targets a specialized qubit")
@@ -174,17 +172,15 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
                 raise NotReducible(
                     gi,
                     f"NOT targeting specialized qubit {targets[0]} has a control "
-                    f"on free qubit {keep[0].qubit.index}",
+                    f"on free qubit {keep[0][0]}",
                 )
             if fires:
                 tracked[targets[0]] ^= 1
         elif fires:
             new_targets = tuple(Index(index_map[t]) for t in targets)
-            new_controls = tuple(
-                Control(Index(index_map[k.qubit.index]), k.positive) for k in keep
-            )
+            new_controls = tuple(Control(Index(index_map[q]), v) for q, v in keep)
             out.append(Gate(g.kind, new_targets, new_controls))
-    m = c.n_qubits - len(tracked)
+    m = n - len(tracked)
     kernel = c if not spec.assignments else _kernel_circuit(m, out)
     return ReducedKernel(
         circuit=kernel,
@@ -201,7 +197,8 @@ def extract_permutation(
 
     Runs the circuit in the computational basis on every free value and
     requires the specialized qubits to come out the same every time.
-    Returns (permutation, final constant bits of the assigned qubits).
+    Returns (permutation, final constant bits of the assigned qubits,
+    which differ from the assignment where a qubit ends flipped).
     More than SEMANTIC_MAX_FREE free qubits raise
     UnsupportedForSemanticReduction before any work is done.
 
@@ -209,8 +206,6 @@ def extract_permutation(
     packed bit-plane row per qubit, n * 2**m / 8 bytes in all, and a
     few numpy calls over rows of 2**m / 8 bytes per gate.
     """
-    if not is_indexed(c):
-        raise ValueError("circuit must be indexed; run resolve_names first")
     _check_assignments(c, spec.assignments)
     m = c.n_qubits - len(spec.assignments)
     if m > SEMANTIC_MAX_FREE:
@@ -242,12 +237,6 @@ def extract_permutation(
             f"output differs between free inputs (e.g. at value {differs.argmax()})"
         )
     constants = {q: int(final[i, 0]) for i, q in enumerate(assigned)}
-    if constants != dict(spec.assignments):
-        warnings.warn(
-            f"specialized qubits end at {constants}, not at their input "
-            f"assignment {dict(spec.assignments)}",
-            stacklevel=2,
-        )
     perm = np.zeros(size, np.int64)
     for new, bits in enumerate(unpacked(free)):
         perm |= bits.astype(np.int64) << new

@@ -8,15 +8,18 @@ One statement per line; ``#`` starts a comment::
     swap a[0] a[1] b[0] # swap takes two targets, then controls
 
 Labels are ASCII ``[A-Za-z_][A-Za-z0-9_]*``; sizes (at least 1) and
-offsets are ASCII decimal. Whitespace may stand around ``!``, ``[``
-and ``]``. Gate names are case-insensitive; register labels are
+offsets are ASCII decimal, and the registers hold at most
+``ir.MAX_QUBITS`` (65,536) qubits in all. Whitespace may stand around
+``!``, ``[`` and ``]``. Gate names are case-insensitive; register labels are
 case-sensitive and must be declared before use.
 """
 from __future__ import annotations
 
 import re
 
-from .ir import Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef, register_bases
+from .ir import (
+    MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef, register_bases
+)
 
 _GATES = {k.value: k for k in GateKind}
 
@@ -68,6 +71,16 @@ def _require(m: re.Match, parts: tuple[str, ...], body: str, lineno: int) -> Non
         after = m.end(group)
 
 
+def _number(m: re.Match, group: int, limit: int, what: str, lineno: int) -> int:
+    """m's decimal group, or a ParseError at it when above limit
+    (lengths first: int() refuses a number of thousands of digits)."""
+    digits = m[group].lstrip("0") or "0"
+    if len(digits) > len(str(limit)) or int(digits) > limit:
+        message = f"{what} above {limit} (at most {MAX_QUBITS} qubits in all)"
+        raise ParseError(message, lineno, m.start(group) + 1)
+    return int(digits)
+
+
 def parse_source(text: str) -> Circuit:
     """Parse circuit source text into a Circuit.
 
@@ -75,6 +88,7 @@ def parse_source(text: str) -> Circuit:
     parser never crashes on arbitrary input.
     """
     registers: dict[str, int] = {}
+    total = 0  # qubits declared so far
     gates: list[Gate] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
@@ -90,7 +104,8 @@ def parse_source(text: str) -> Circuit:
                     f"register {m[1]!r} already declared", lineno, m.start(1) + 1
                 )
             _require(m, _QREG_PARTS, body, lineno)
-            registers[m[1]] = int(m[2])
+            registers[m[1]] = _number(m, 2, MAX_QUBITS - total, "size", lineno)
+            total += registers[m[1]]
             continue
         kind = _GATES.get(word.lower())
         if kind is None:
@@ -101,7 +116,8 @@ def parse_source(text: str) -> Circuit:
             if m[2] and m[2] not in registers:
                 raise UndeclaredRegister(m[2], lineno, m.start(2) + 1)
             _require(m, _OPERAND_PARTS, body, lineno)
-            operands.append((Named(m[2], int(m[4])), m.start(1) if m[1] else -1))
+            offset = _number(m, 4, MAX_QUBITS - 1, "offset", lineno)
+            operands.append((Named(m[2], offset), m.start(1) if m[1] else -1))
             pos = m.end()
         n_targets = 2 if kind is GateKind.SWAP else 1
         if len(operands) < n_targets:
@@ -112,7 +128,7 @@ def parse_source(text: str) -> Circuit:
         targets = tuple(ref for ref, _ in operands[:n_targets])
         controls = tuple(Control(ref, bang < 0) for ref, bang in operands[n_targets:])
         gates.append(Gate(kind, targets, controls))
-    return Circuit(tuple(registers.items()), sum(registers.values()), tuple(gates))
+    return Circuit(tuple(registers.items()), total, tuple(gates))
 
 
 def _formatter(c: Circuit):

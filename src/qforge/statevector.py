@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ir import Circuit, Gate, GateKind, InputError, QforgeError, index_of
+from .ir import BasisOutOfRange  # re-exported
+from .ir import Circuit, Gate, GateKind, InputError, QforgeError, check_basis, index_of
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -44,10 +45,6 @@ GATE_MATRICES: dict[GateKind, np.ndarray] = {
     GateKind.T: np.array([[1, 0], [0, _SQ2 * (1 + 1j)]], dtype=complex),
     GateKind.TDG: np.array([[1, 0], [0, _SQ2 * (1 - 1j)]], dtype=complex),
 }
-
-
-class BasisOutOfRange(QforgeError):
-    """Requested preparation index does not fit the register."""
 
 
 class StateTooLarge(QforgeError):
@@ -76,10 +73,7 @@ def init_state(n_qubits: int, basis: int = 0) -> StateVector:
     """
     if n_qubits < 1:
         raise InputError(f"n_qubits must be positive, got {n_qubits}")
-    if not 0 <= basis < (1 << n_qubits):
-        raise BasisOutOfRange(
-            f"basis index {basis} out of range for {n_qubits} qubits"
-        )
+    check_basis(basis, n_qubits)
     need = 3 * (np.dtype(complex).itemsize << (n_qubits - 1))
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: outputs, exit codes, atomic writes."""
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
@@ -259,6 +260,20 @@ class TestReduce:
         for name in names:
             assert (first / name).read_bytes() == (second / name).read_bytes()
 
+    def test_drifting_constant_shows_in_the_manifest_only(self, tmp_path, capsys):
+        # the CNOT pair sends a to the semantic path; the X leaves it flipped
+        circuit = write_circuit(
+            tmp_path, "drift.fqt", "qreg a 1\nqreg b 2\nx a[0] b[0]\nx a[0] b[0]\nx a[0]\n"
+        )
+        args = ["reduce", circuit, "--qubits", "a", "--values", "0", "-o", str(tmp_path)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == 0
+        assert capsys.readouterr().err == ""
+        (entry,) = json.loads((tmp_path / "drift.manifest.json").read_text())["kernels"]
+        assert entry["method"] == "semantic"
+        assert entry["final_constants"] == {"0": 1}
+
     @pytest.mark.parametrize("token", ["a[\u0663]", "\u0663", "a[1_0]", "a[+3]"])
     def test_qubit_token_needs_ascii_digits(self, tmp_path, token, capsys):
         args = ["reduce", fixture_path(MODADD), "--qubits", token, "--values", "0"]
@@ -361,6 +376,45 @@ def test_non_utf8_file_is_user_error(tmp_path, command, monkeypatch, capsys):
     (tmp_path / "bad.fqt").write_bytes(b"qreg a 1\nx a[0] # \xff\n")
     assert main([command[0], "bad.fqt", *command[1:]]) == 1
     assert capsys.readouterr().err.startswith("error: cannot read bad.fqt: not UTF-8 (")
+
+
+class TestSizeLimits:
+    """Absurd declared sizes are refused before any work starts."""
+
+    @pytest.mark.parametrize("backend", ["logic", "sv"])
+    def test_huge_qp_header(self, tmp_path, backend, capsys):
+        (tmp_path / "huge.qp").write_text("100000000000000000000 0 2")
+        assert main(["sim", str(tmp_path / "huge.qp"), "--backend", backend]) == 1
+        assert "n_qubits must be 1 to 65536" in capsys.readouterr().err
+
+    def test_huge_register_sim(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, "huge.fqt", "qreg a 100000000000000000000\nx a[0]\n")
+        assert main(["sim", path, "--backend", "logic", "--prep", "a=1"]) == 1
+        assert "line 1, col 8: size above 65536" in capsys.readouterr().err
+
+    def test_huge_register_reduce(self, tmp_path, capsys):
+        path = write_circuit(tmp_path, "huge.fqt", "qreg a 100000000000000000000\nx a[0]\n")
+        args = ["reduce", path, "--qubits", "a0", "--values", "1", "-o", str(tmp_path / "k")]
+        assert main(args) == 1
+        assert "line 1, col 8: size above 65536" in capsys.readouterr().err
+
+    def test_max_controls_bound(self, tmp_path, capsys):
+        out = tmp_path / "c.qp"
+        args = ["compile", fixture_path(FULLADD), "-o", str(out)]
+        assert main(args + ["--max-controls", "1000000"]) == 1
+        assert "max_controls must be 2 to 65535" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "prep",
+        ["1" * 5000, "a=" + "1" * 5000, "0x" + "f" * 5000, "a=0x" + "f" * 5000],
+        ids=["decimal", "register-decimal", "hex", "register-hex"],
+    )
+    def test_prep_of_thousands_of_digits(self, prep, capsys):
+        args = ["sim", fixture_path(FULLADD), "--backend", "logic", f"--prep={prep}"]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_user_errors_share_one_root():

@@ -2,6 +2,8 @@
 import math
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from qforge.harness import (
     AmplitudeExpectation,
@@ -152,6 +154,18 @@ class TestRunSuite:
         (res,) = run_suite([case]).results
         assert res.status == "fail"
 
+    def test_sv_amplitude_index_out_of_range_is_error(self):
+        case = TestCase(
+            name="bell_wide",
+            circuit=bell_circuit(),
+            backend=Backend.SV,
+            expect_amplitudes=[AmplitudeExpectation(4, complex(SQ2, 0), 1e-9)],
+        )
+        (res,) = run_suite([case]).results
+        assert (res.status, res.message) == (
+            "error", "expected amplitude index 4 does not fit 2 qubits"
+        )
+
     def test_lower_flag_keeps_semantics(self):
         circuit = new_circuit(("q", 4)) + mcx(
             [Named("q", 1), Named("q", 2), Named("q", 3)], Named("q", 0)
@@ -283,6 +297,9 @@ class TestParseSuite:
             ("expect amp 1 5 0 tol nan", "tolerance must be finite"),
             ("expect amp 1 5 0 tol inf", "tolerance must be finite"),
             ("expect amp 0 1 0 tol -1", "tolerance must be finite and at least 0"),
+            pytest.param(
+                f"expect amp {'1' * 5000} 1 0 tol 0", "bad number", id="index-of-5000-digits"
+            ),
         ],
     )
     def test_amplitude_numbers_are_checked(self, tmp_path, line, match):
@@ -326,8 +343,45 @@ class TestParseAssignments:
 
     @pytest.mark.parametrize(
         "text",
-        ["a", "=3", "a=x", "a=1,a=2", "a=\u0663", "a=1_0", "a= 3", "a=-3", "a=007"],
+        [
+            "a", "=3", "a=x", "a=1,a=2", "a=\u0663", "a=1_0", "a= 3", "a=-3", "a=007",
+            pytest.param("a=" + "1" * 5000, id="a=<5000 digits>"),
+        ],
     )
     def test_rejects(self, text):
         with pytest.raises(ValueError):
             parse_assignments(text)
+
+
+# Suite text: lines of each statement's shape with good and bad
+# arguments, so that parsing gets past the first line, plus raw text.
+_ARG = st.sampled_from(["0", "3", "-1", "1e-9", "nan", "inf", "\u0663", "1_0", "9" * 5000])
+_ASSIGNMENTS = st.sampled_from(["q=1", "q=0x3,r=1", "q=", "=1", "q=1,q=2", "z=1", "q=9"])
+_SUITE_LINE = st.one_of(
+    st.sampled_from(["good.fqt", "bad.fqt", "raw.fqt", "none.fqt", ".", "a\0b"]).map(
+        "circuit {}".format
+    ),
+    st.sampled_from(["logic", "sv", "gpu", "sv sv"]).map("backend {}".format),
+    st.lists(st.tuples(st.sampled_from(["prep", "expect", "tol"]), _ASSIGNMENTS)).map(
+        lambda pairs: " ".join(["case c", *(f"{key} {value}" for key, value in pairs)])
+    ),
+    st.builds("expect amp {} {} {} tol {}".format, _ARG, _ARG, _ARG, _ARG),
+    st.lists(st.text(max_size=3), max_size=6).map(" ".join),
+)
+_SUITE = st.lists(_SUITE_LINE, max_size=8).map("\n".join) | st.text()
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(_SUITE)
+def test_parse_suite_is_total(tmp_path, text):
+    (tmp_path / "good.fqt").write_text("qreg q 2\nqreg r 1\nx q[0] q[1]\n")
+    (tmp_path / "bad.fqt").write_text("qreg q 2\nx q[5\n")
+    (tmp_path / "raw.fqt").write_bytes(b"qreg q 1\nx q[0] \xff\n")
+    (tmp_path / "s.qtest").write_text(text, encoding="utf-8")
+    try:
+        cases = parse_suite(tmp_path / "s.qtest")
+    except SuiteError:
+        return
+    assert all(isinstance(case, TestCase) for case in cases)

@@ -5,6 +5,7 @@ import pytest
 
 from qforge.ir import (
     BadLadderGeometry,
+    BasisOutOfRange,
     Circuit,
     ConflictingRegister,
     Control,
@@ -13,13 +14,16 @@ from qforge.ir import (
     Gate,
     GateKind,
     Index,
+    InputError,
     LengthMismatch,
     Named,
     as_ref,
     ccx,
     chain,
     cnot,
+    check_basis,
     ctrl,
+    encode_registers,
     h,
     interleave,
     ladder,
@@ -33,6 +37,7 @@ from qforge.ir import (
     x,
 )
 from qforge.logic import BasisState, run_logic
+from qforge.statevector import init_state
 
 from helpers import random_named_circuit
 
@@ -235,3 +240,35 @@ def test_swap_and_mcx_builders():
     (g,) = mcx([ctrl(0), nctrl(1)], 2).gates
     assert g.targets == (Index(2),)
     assert g.controls == (Control(Index(0), True), Control(Index(1), False))
+
+
+class TestBasisRange:
+    """One rule decides whether a basis value fits its qubits."""
+
+    def test_every_site_raises_the_one_input_error(self):
+        assert issubclass(BasisOutOfRange, InputError)
+        register = new_circuit(("a", 4))
+        for bad in (
+            lambda: BasisState(2, 4),
+            lambda: BasisState(2, -1),
+            lambda: init_state(3, 8),
+            lambda: encode_registers(register, {"a": 10**30}),
+            lambda: encode_registers(register, {"a": -1}),
+        ):
+            with pytest.raises(BasisOutOfRange):
+                bad()
+
+    def test_bounds(self):
+        assert check_basis(0, 0) == 0
+        assert check_basis(15, 4) == 15
+        assert encode_registers(new_circuit(("a", 4), ("b", 2)), {"a": 15, "b": 3}) == 63
+        with pytest.raises(BasisOutOfRange, match="basis value 16 does not fit 4 qubits"):
+            check_basis(16, 4)
+
+    def test_huge_values_and_widths_cost_nothing(self):
+        # 2**width is never built, and a value too long for str() is
+        # shown by its bit length
+        assert check_basis(1, 10**18) == 1
+        assert BasisState(10**18, 1).bits == 1
+        with pytest.raises(BasisOutOfRange, match="value of 16610 bits does not fit 4"):
+            encode_registers(new_circuit(("a", 4)), {"a": 10**5000})

@@ -7,17 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.ir import (
+    MAX_QUBITS,
     Circuit,
     Control,
     Gate,
     GateKind,
     Index,
+    InputError,
     Named,
     new_circuit,
     x,
 )
 from qforge.library import cuccaro_full_add, mod_add
-from qforge.logic import BasisState, run_logic
+from qforge.logic import BasisState, logic_function, run_logic
 from qforge.passes import (
     CompileError,
     PassConfig,
@@ -321,9 +323,56 @@ class TestCompile:
                 assert np.max(np.abs(tail)) < 1e-12
 
 
+@st.composite
+def _lowerable_circuits(draw, kinds):
+    """Verified indexed circuits, n <= 6, of the given kinds, with up to
+    4 mixed-polarity controls per gate."""
+    n = draw(st.integers(1, 6))
+    kinds = [k for k in kinds if n >= 2 or k is not GateKind.SWAP]
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(kinds))
+        n_targets = 2 if kind is GateKind.SWAP else 1
+        k = draw(st.integers(0, min(4, n - n_targets)))
+        qubits = draw(st.permutations(range(n)))[: n_targets + k]
+        polarities = draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        controls = tuple(
+            Control(Index(q), v) for q, v in zip(qubits[n_targets:], polarities)
+        )
+        gates.append(Gate(kind, tuple(map(Index, qubits[:n_targets])), controls))
+    return Circuit((), n, tuple(gates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_lowerable_circuits([GateKind.X, GateKind.SWAP]), st.integers(2, 4))
+def test_compiled_not_circuits_match_their_source_on_every_prep(c, m):
+    compiled = to_circuit(compile_circuit(c, PassConfig(m)))
+    want, got = logic_function(c), logic_function(compiled)
+    for prep in range(1 << c.n_qubits):
+        # ancillas start at 0, and want(prep) < 2**n says they end at 0
+        assert got(prep) == want(prep)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_lowerable_circuits(list(GateKind)), st.integers(2, 4), st.data())
+def test_compiled_circuits_match_their_source_state_vector(c, m, data):
+    compiled = to_circuit(compile_circuit(c, PassConfig(m)))
+    prep = data.draw(st.integers(0, (1 << c.n_qubits) - 1), label="prep")
+    head, tail = _restricted(run(compiled, prep), c.n_qubits)
+    np.testing.assert_allclose(head, run(c, prep).amplitudes, rtol=0, atol=1e-12)
+    assert not len(tail) or np.max(np.abs(tail)) < 1e-12
+
+
 def test_pass_config_validation():
     with pytest.raises(ValueError):
         PassConfig(max_controls=1)
+
+
+def test_pass_config_bound():
+    assert PassConfig(max_controls=MAX_QUBITS - 1).max_controls == MAX_QUBITS - 1
+    for bad in (MAX_QUBITS, 10**6):
+        with pytest.raises(InputError, match="max_controls must be 2 to 65535"):
+            PassConfig(max_controls=bad)
 
 
 @st.composite

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.ir import Circuit, Control, Gate, GateKind, Index, repeat
+from qforge.ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, repeat
 from qforge.library import mod_add
 from qforge.logic import BasisState, logic_function, run_logic
 from qforge.passes import PassConfig, compile_circuit, resolve_names
@@ -99,6 +99,18 @@ def test_tokens_are_ascii_signed_decimals(text, token):
 
 def test_leading_zeros_and_minus_zero_are_integers():
     assert parse_qp("02 1 2  1 -0 -1 -01") == QPProgram(2, 2, (QPGate(1, 0, (-1, -1)),))
+
+
+def test_header_limits():
+    assert parse_qp(f"{MAX_QUBITS} 0 {MAX_QUBITS - 1}").n_qubits == MAX_QUBITS
+    with pytest.raises(BadIndex, match="n_qubits must be 1 to 65536"):
+        parse_qp(f"{MAX_QUBITS + 1} 0 2")
+    with pytest.raises(BadIndex):
+        parse_qp("100000000000000000000 0 2")
+    with pytest.raises(InvariantViolation, match="max_controls must be 2 to 65535"):
+        parse_qp(f"2 0 {MAX_QUBITS}")
+    with pytest.raises(InvariantViolation):
+        QPProgram(2, MAX_QUBITS)
 
 
 _QP_JUNK = st.lists(

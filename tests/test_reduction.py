@@ -74,6 +74,20 @@ class TestFindControlOnly:
         assert find_control_only_qubits(Circuit((), 3)) == {0, 1, 2}
 
 
+@pytest.mark.parametrize(
+    "reduce",
+    [
+        find_control_only_qubits,
+        lambda c: specialize_syntactic(c, Specialization({0: 1})),
+        lambda c: extract_permutation(c, Specialization({0: 1})),
+    ],
+    ids=["find_control_only_qubits", "specialize_syntactic", "extract_permutation"],
+)
+def test_named_circuit_must_be_resolved_first(reduce):
+    with pytest.raises(ValueError, match="run resolve_names first"):
+        reduce(mod_add(4))
+
+
 class TestSpecializeSyntactic:
     def test_control_becomes_constant(self):
         c = Circuit((), 2, (cx(0, 1),))
@@ -193,8 +207,10 @@ class TestExtractPermutation:
             extract_permutation(c, Specialization({21: 0}))
 
     def test_warns_when_constants_drift(self):
+        # the drift is reported in final_constants alone, never as a warning
         c = Circuit((), 2, (xg(0),))
-        with pytest.warns(UserWarning, match="not at their input"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             perm, constants = extract_permutation(c, Specialization({0: 0}))
         assert constants == {0: 1}
         assert perm == [0, 1]
@@ -219,7 +235,8 @@ class TestExtractPermutation:
         c = Circuit((), n, gates)
         want_perm, want_constants, first = per_value_sweep(c, assignments)
         assert first is None
-        with pytest.warns(UserWarning, match="not at their input"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             perm, constants = extract_permutation(c, Specialization(assignments))
         assert (perm, constants) == (want_perm, want_constants)
         assert constants[68] == 1
@@ -288,14 +305,9 @@ def test_extraction_matches_per_value_sweep(case):
         got = extract_permutation(c, spec)
     assert got == (perm, constants)
     assert all(type(v) is int for v in got[0] + list(got[1].values()))
-    drifted = constants != assignments
-    assert [str(w.message) for w in caught] == drifted * [
-        f"specialized qubits end at {constants}, not at their input "
-        f"assignment {assignments}"
-    ]
+    assert not caught
 
 
-@pytest.mark.filterwarnings("ignore:specialized qubits end at")
 @settings(max_examples=100, deadline=None)
 @given(_extraction_cases(max_n=10, min_assigned=1))
 def test_every_kernel_embeds_into_its_source(case):

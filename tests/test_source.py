@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.ir import Circuit, Control, Gate, GateKind, Named, new_circuit
+from qforge.ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, new_circuit
 from qforge.source import (
     ParseError,
     UndeclaredRegister,
@@ -106,6 +106,29 @@ def test_error_positions_corpus():
             parse_source(case["source"])
         got = (type(info.value).__name__, info.value.line, info.value.col)
         assert got == (case["error"], case["line"], case["col"]), case["source"]
+
+
+def test_size_limit():
+    c = parse_source(f"qreg a {MAX_QUBITS - 1}\nqreg b 01\nx b[00] a[{MAX_QUBITS - 2}]")
+    assert c.n_qubits == MAX_QUBITS
+    assert c.gates[0].controls == (Control(Named("a", MAX_QUBITS - 2)),)
+
+
+@pytest.mark.parametrize(
+    "text, line, col, message",
+    [
+        ("qreg a 100000000000000000000", 1, 8, "size above 65536"),
+        ("qreg a " + "9" * 5000, 1, 8, "size above 65536"),
+        ("qreg a 65535\nqreg b 2", 2, 8, "size above 1 "),
+        ("qreg a 2\nx a[65536]", 2, 5, "offset above 65535"),
+        ("qreg a 2\nx a[0] !a[" + "1" * 5000 + "]", 2, 11, "offset above 65535"),
+    ],
+    ids=["huge-size", "size-of-5000-digits", "total", "offset", "offset-of-5000-digits"],
+)
+def test_sizes_and_offsets_over_the_limit(text, line, col, message):
+    with pytest.raises(ParseError, match=message) as info:
+        parse_source(text)
+    assert (type(info.value), info.value.line, info.value.col) == (ParseError, line, col)
 
 
 @pytest.mark.parametrize(
