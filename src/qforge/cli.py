@@ -17,6 +17,7 @@ import numpy as np
 from .fileio import atomic_write_text
 from .harness import parse_assignments, parse_int, parse_suite, run_suite
 from .ir import (
+    MAX_QUBITS,
     Circuit,
     Index,
     InputError,
@@ -47,6 +48,15 @@ def _read(path: str) -> str:
         raise InputError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
+def _number(digits: str) -> int:
+    """ASCII decimal digits, compared with MAX_QUBITS by length first:
+    int() refuses a number of thousands of digits."""
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > len(str(MAX_QUBITS)):
+        raise InputError(f"qubit number of {len(digits)} digits is above {MAX_QUBITS}")
+    return int(digits)
+
+
 def _parse_qubit_token(token: str, circuit: Circuit) -> int:
     """A specialization qubit: 'a[3]', 'a3', bare size-1 label, or index."""
     bases = register_bases(circuit)
@@ -56,7 +66,7 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         offset = rest[:-1].strip()
         if not (offset.isascii() and offset.isdigit()):
             raise InputError(f"cannot resolve qubit {token!r}")
-        ref = Named(label, int(offset))
+        ref = Named(label, _number(offset))
     elif token in bases:
         if bases[token][1] != 1:
             raise InputError(f"{token!r} is a register, not a single qubit")
@@ -64,9 +74,9 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
     else:
         head = token.rstrip("0123456789")
         if head and head != token and head in bases:
-            ref = Named(head, int(token[len(head):]))
+            ref = Named(head, _number(token[len(head):]))
         elif token.isascii() and token.isdigit():
-            ref = Index(int(token))
+            ref = Index(_number(token))
         else:
             raise InputError(f"cannot resolve qubit {token!r}")
     index = _resolver(circuit)(ref)
@@ -99,8 +109,8 @@ def _cmd_sim(args) -> int:
     if args.top < 1:
         raise InputError(f"--top must be at least 1, got {args.top}")
     text = _read(args.file)
-    qp = args.file.endswith(".qp")
-    circuit = checked(to_circuit(parse_qp(text)) if qp else parse_source(text))
+    qp = args.file.endswith(".qp")  # a QPProgram is checked when it is built
+    circuit = to_circuit(parse_qp(text)) if qp else checked(parse_source(text))
     if "=" in args.prep:
         prep = encode_registers(circuit, parse_assignments(args.prep))
     else:

@@ -18,7 +18,6 @@ from typing import Sequence
 from .ir import (
     Circuit,
     CircuitError,
-    LengthMismatch,
     Named,
     QubitRef,
     as_ref,
@@ -91,8 +90,6 @@ def full_add(
     Gate structure: a MAJ ladder up the interleaved register, one CNOT
     copying the carry to z, then the UNMAJ ladder back down.
     """
-    if len(in1) != len(in2):
-        raise LengthMismatch("Input qubit register lengths must be identical.")
     combined = [as_ref(c)] + interleave(in2, in1)
     up = ladder(2, 3, lambda w: maj(*w), combined)
     down = ladder(2, 3, lambda w: unmaj(*w), combined, reverse=True)

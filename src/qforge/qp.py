@@ -164,7 +164,10 @@ def parse_qp(text: str) -> QPProgram:
         try:
             values.append(int(tok))
         except ValueError:
-            raise NonIntegerToken(f"not an integer: {tok!r}") from None
+            if not tok.removeprefix("-").isdigit():
+                raise NonIntegerToken(f"not an integer: {tok!r}") from None
+            # int() refuses an integer of thousands of digits; not echoed
+            raise QPFormatError(f"integer of {len(tok)} characters is too long") from None
     if len(values) < 3:
         raise Truncated(f"header needs 3 integers, got {len(values)}")
     n_qubits, n_gates, max_controls = values[0], values[1], values[2]

@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .ir import (
-    MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef, register_bases
-)
+from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef
 
 _GATES = {k.value: k for k in GateKind}
 
@@ -131,27 +129,6 @@ def parse_source(text: str) -> Circuit:
     return Circuit(tuple(registers.items()), total, tuple(gates))
 
 
-def _formatter(c: Circuit):
-    bases = register_bases(c)
-    spans = []  # (start, end, label) in declaration order
-    for label, (base, size) in bases.items():
-        spans.append((base, base + size, label))
-
-    def fmt(ref: QubitRef) -> str:
-        if isinstance(ref, Named):
-            if ref.label not in bases:
-                raise ValueError(f"cannot print: undeclared register {ref.label!r}")
-            return f"{ref.label}[{ref.offset}]"
-        for start, end, label in spans:
-            if start <= ref.index < end:
-                return f"{label}[{ref.index - start}]"
-        raise ValueError(
-            f"cannot print: qubit {ref.index} is not covered by any register"
-        )
-
-    return fmt
-
-
 def print_source(c: Circuit) -> str:
     """Canonical source text for a circuit.
 
@@ -159,7 +136,20 @@ def print_source(c: Circuit) -> str:
     must use declared registers, and index references must fall inside
     the register span (they are printed through the reverse mapping).
     """
-    fmt = _formatter(c)
+    names = [f"{label}[{i}]" for label, size in c.registers for i in range(size)]
+    labels = dict(c.registers)
+
+    def fmt(ref: QubitRef) -> str:
+        if isinstance(ref, Named):
+            if ref.label not in labels:
+                raise ValueError(f"cannot print: undeclared register {ref.label!r}")
+            return f"{ref.label}[{ref.offset}]"
+        if not 0 <= ref.index < len(names):  # no wrap-around for negatives
+            raise ValueError(
+                f"cannot print: qubit {ref.index} is not covered by any register"
+            )
+        return names[ref.index]
+
     lines = [f"qreg {label} {size}" for label, size in c.registers]
     for g in c.gates:
         parts = [g.kind.value]

@@ -10,7 +10,8 @@ then splits into a |0> half and a |1> half, and the gate's 2x2 matrix
 mixes the two half views in place:
 
 * X swaps the halves through one half-size temporary;
-* Z, S, SDG, T and TDG scale only the |1> half;
+* Z, S, SDG, T and TDG scale only the |1> half by their phase in
+  ``_PHASES`` (-1, i, -i, e^{i pi/4}, e^{-i pi/4});
 * H is an add and a subtract written into the halves, and Y a swap
   with phases, each with one half-size temporary.
 
@@ -35,15 +36,14 @@ from .ir import Circuit, Gate, GateKind, InputError, QforgeError, check_basis, i
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
-GATE_MATRICES: dict[GateKind, np.ndarray] = {
-    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
-    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
-    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
-    GateKind.H: np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
-    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
-    GateKind.T: np.array([[1, 0], [0, _SQ2 * (1 + 1j)]], dtype=complex),
-    GateKind.TDG: np.array([[1, 0], [0, _SQ2 * (1 - 1j)]], dtype=complex),
+# the |1>-half factor of each gate that leaves |0> alone; H and Y are
+# written out in apply_gate, and X and SWAP exchange amplitudes
+_PHASES: dict[GateKind, complex] = {
+    GateKind.Z: -1,
+    GateKind.S: 1j,
+    GateKind.SDG: -1j,
+    GateKind.T: _SQ2 * (1 + 1j),
+    GateKind.TDG: _SQ2 * (1 - 1j),
 }
 
 
@@ -55,14 +55,6 @@ class StateTooLarge(QforgeError):
 class StateVector:
     n_qubits: int
     amplitudes: np.ndarray
-
-
-# the |1>-half factor of each gate that leaves |0> alone
-_PHASES = {
-    kind: u[1, 1]
-    for kind, u in GATE_MATRICES.items()
-    if u[0, 0] == 1 and u[0, 1] == 0 and u[1, 0] == 0
-}
 
 
 def init_state(n_qubits: int, basis: int = 0) -> StateVector:

@@ -6,12 +6,27 @@ strided pairs, and the arithmetic oracles are plain Python integers.
 """
 from __future__ import annotations
 
+import cmath
+import math
 import random
 
 import numpy as np
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, new_circuit
-from qforge.statevector import GATE_MATRICES
+
+# textbook 2x2 matrices, written apart from the simulator's phase table
+_H = 1 / math.sqrt(2)
+_T = cmath.exp(1j * math.pi / 4)
+GATE_MATRICES: dict[GateKind, np.ndarray] = {
+    GateKind.X: np.array([[0, 1], [1, 0]], dtype=complex),
+    GateKind.Y: np.array([[0, -1j], [1j, 0]], dtype=complex),
+    GateKind.Z: np.array([[1, 0], [0, -1]], dtype=complex),
+    GateKind.H: np.array([[_H, _H], [_H, -_H]], dtype=complex),
+    GateKind.S: np.array([[1, 0], [0, 1j]], dtype=complex),
+    GateKind.SDG: np.array([[1, 0], [0, -1j]], dtype=complex),
+    GateKind.T: np.array([[1, 0], [0, _T]], dtype=complex),
+    GateKind.TDG: np.array([[1, 0], [0, _T.conjugate()]], dtype=complex),
+}
 
 ALL_KINDS = list(GateKind)
 NON_SWAP_KINDS = [k for k in ALL_KINDS if k is not GateKind.SWAP]

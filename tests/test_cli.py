@@ -416,6 +416,17 @@ class TestSizeLimits:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "token",
+        ["a[" + "1" * 5000 + "]", "a" + "1" * 5000, "1" * 5000],
+        ids=["bracket", "suffix", "index"],
+    )
+    def test_qubit_number_of_thousands_of_digits(self, tmp_path, token, capsys):
+        args = ["reduce", fixture_path(MODADD), "--qubits", token, "--values", "0"]
+        assert main(args + ["-o", str(tmp_path / "k")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: qubit number of 5000 digits is above 65536\n"
+
 
 def test_user_errors_share_one_root():
     for error in (

@@ -101,6 +101,14 @@ def test_leading_zeros_and_minus_zero_are_integers():
     assert parse_qp("02 1 2  1 -0 -1 -01") == QPProgram(2, 2, (QPGate(1, 0, (-1, -1)),))
 
 
+@pytest.mark.parametrize("token", ["1" * 5000, "-" + "1" * 5000])
+def test_integer_of_thousands_of_digits_is_not_echoed(token):
+    with pytest.raises(QPFormatError) as info:
+        parse_qp("2 0 " + token)
+    assert not isinstance(info.value, NonIntegerToken)
+    assert str(info.value) == f"integer of {len(token)} characters is too long"
+
+
 def test_header_limits():
     assert parse_qp(f"{MAX_QUBITS} 0 {MAX_QUBITS - 1}").n_qubits == MAX_QUBITS
     with pytest.raises(BadIndex, match="n_qubits must be 1 to 65536"):

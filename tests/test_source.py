@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, new_circuit
+from qforge.ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, Named, new_circuit
+from qforge.passes import resolve_names
 from qforge.source import (
     ParseError,
     UndeclaredRegister,
@@ -194,6 +195,49 @@ def test_print_rejects_uncovered_qubits():
     c = Circuit((("a", 1),), 2, (Gate(GateKind.X, (Index(1),)),))
     with pytest.raises(ValueError, match="not covered"):
         print_source(c)
+
+
+@pytest.mark.parametrize("index", [-1, -3])
+def test_print_rejects_negative_indices(index):
+    # a negative index must not wrap around to the last registers' qubits
+    c = Circuit((("a", 2), ("b", 1)), 3, (Gate(GateKind.X, (Index(index),)),))
+    with pytest.raises(ValueError, match=f"qubit {index} is not covered"):
+        print_source(c)
+
+
+@st.composite
+def _printable_circuits(draw):
+    """The same gates twice: over Named references, and with each
+    reference drawn as Named or as its Index inside the register span."""
+    labels = st.sampled_from(["a", "b", "r", "work"])
+    labels = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    registers = tuple((label, draw(st.integers(1, 4))) for label in labels)
+    names = [Named(label, i) for label, size in registers for i in range(size)]
+    qubit = st.integers(0, len(names) - 1)
+    named, mixed = [], []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(GateKind))
+        n_targets = 2 if kind is GateKind.SWAP else 1
+        qs = draw(st.lists(qubit, min_size=n_targets, max_size=n_targets + 3))
+        signs = draw(st.lists(st.booleans(), min_size=len(qs), max_size=len(qs)))
+        refs = [names[q] for q in qs]
+        mixed_refs = [draw(st.sampled_from([names[q], Index(q)])) for q in qs]
+        for out, rs in ((named, refs), (mixed, mixed_refs)):
+            controls = tuple(map(Control, rs[n_targets:], signs[n_targets:]))
+            out.append(Gate(kind, tuple(rs[:n_targets]), controls))
+    return (
+        Circuit(registers, len(names), tuple(named)),
+        Circuit(registers, len(names), tuple(mixed)),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_printable_circuits())
+def test_print_parse_round_trip_property(pair):
+    named, mixed = pair
+    assert parse_source(print_source(named)) == named
+    reparsed = parse_source(print_source(mixed))
+    assert resolve_names(reparsed)[0] == resolve_names(mixed)[0]
 
 
 def test_round_trip_corpus():

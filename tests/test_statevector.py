@@ -13,7 +13,6 @@ from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named
 from qforge.library import cuccaro_full_add, mod_add
 from qforge.passes import resolve_names
 from qforge.statevector import (
-    GATE_MATRICES,
     BasisOutOfRange,
     StateTooLarge,
     apply_gate,
@@ -22,7 +21,13 @@ from qforge.statevector import (
     run,
 )
 
-from helpers import NON_SWAP_KINDS, dense_unitary, norm, random_indexed_circuit
+from helpers import (
+    GATE_MATRICES,
+    NON_SWAP_KINDS,
+    dense_unitary,
+    norm,
+    random_indexed_circuit,
+)
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -44,6 +49,28 @@ def test_gate_matrices_are_unitary():
 def test_hadamard_on_zero():
     s = apply_gate(init_state(1), Gate(GateKind.H, (Index(0),)))
     np.testing.assert_allclose(s.amplitudes, [SQ2, SQ2], atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kind, on_zero, on_one",
+    [
+        (GateKind.X, [0, 1], [1, 0]),
+        (GateKind.Y, [0, 1j], [-1j, 0]),
+        (GateKind.H, [SQ2, SQ2], [SQ2, -SQ2]),
+        (GateKind.Z, None, [0, -1]),
+        (GateKind.S, None, [0, 1j]),
+        (GateKind.SDG, None, [0, -1j]),
+        (GateKind.T, None, [0, complex(SQ2, SQ2)]),
+        (GateKind.TDG, None, [0, complex(SQ2, -SQ2)]),
+    ],
+    ids=["x", "y", "h", "z", "s", "sdg", "t", "tdg"],
+)
+def test_gate_action_on_basis_states(kind, on_zero, on_one):
+    # literal amplitudes: apart from the kernel's phases and helpers' matrices
+    for basis, want in ((0, on_zero), (1, on_one)):
+        if want is not None:
+            s = apply_gate(init_state(1, basis), Gate(kind, (Index(0),)))
+            np.testing.assert_allclose(s.amplitudes, want, rtol=0, atol=1e-12)
 
 
 def test_bell_state():
