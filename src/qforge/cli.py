@@ -57,6 +57,12 @@ def _number(digits: str) -> int:
     return int(digits)
 
 
+def _quoted(token: str) -> str:
+    """A qubit token for a message: one of more than 64 characters is
+    named by its length, not repeated."""
+    return repr(token) if len(token) <= 64 else f"token of {len(token)} characters"
+
+
 def _parse_qubit_token(token: str, circuit: Circuit) -> int:
     """A specialization qubit: 'a[3]', 'a3', bare size-1 label, or index."""
     bases = register_bases(circuit)
@@ -65,11 +71,11 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         label, _, rest = token.partition("[")
         offset = rest[:-1].strip()
         if not (offset.isascii() and offset.isdigit()):
-            raise InputError(f"cannot resolve qubit {token!r}")
+            raise InputError(f"cannot resolve qubit {_quoted(token)}")
         ref = Named(label, _number(offset))
     elif token in bases:
         if bases[token][1] != 1:
-            raise InputError(f"{token!r} is a register, not a single qubit")
+            raise InputError(f"{_quoted(token)} is a register, not a single qubit")
         ref = Named(token, 0)
     else:
         head = token.rstrip("0123456789")
@@ -78,10 +84,12 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         elif token.isascii() and token.isdigit():
             ref = Index(_number(token))
         else:
-            raise InputError(f"cannot resolve qubit {token!r}")
+            raise InputError(f"cannot resolve qubit {_quoted(token)}")
     index = _resolver(circuit)(ref)
     if isinstance(index, str):
-        raise InputError(f"cannot resolve qubit {token!r}: {index}")
+        # the resolver's reason quotes the label, part of the token
+        reason = f": {index}" if len(token) <= 64 else ""
+        raise InputError(f"cannot resolve qubit {_quoted(token)}{reason}")
     return index
 
 

@@ -11,7 +11,9 @@ Negative controls cost nothing here, so they are honored directly with
 no lowering.
 
 ``run_planes`` runs the same ops on many basis states at once, one
-packed bit plane per qubit, for sweeps over every input.
+packed bit plane per qubit, for sweeps over every input; the
+state-vector backend runs them through ``run_ops`` to find where a run
+of X and SWAP gates moves each amplitude.
 """
 from __future__ import annotations
 
@@ -122,12 +124,10 @@ def run_planes(c: Circuit, planes: np.ndarray) -> np.ndarray:
 
     ``planes`` is a uint8 array with one row per qubit: row q holds
     qubit q's bit of every input, packed eight inputs to a byte (as
-    ``np.packbits(..., bitorder="little")`` lays them out). Each op of
-    ``_ops`` ANDs its control rows (negated for negative controls) into
-    a fire mask and XORs that into the target row, so a gate costs a
-    few numpy calls over rows of ``planes.shape[1]`` bytes. NonLogicGate
-    is raised before anything is evaluated. Returns the output planes;
-    the input is not changed.
+    ``np.packbits(..., bitorder="little")`` lays them out). The gates
+    run as ``run_ops`` runs them. NonLogicGate is raised before
+    anything is evaluated. Returns the output planes; the input is not
+    changed.
     """
     if planes.shape[0] != c.n_qubits:
         raise ValueError(
@@ -135,13 +135,23 @@ def run_planes(c: Circuit, planes: np.ndarray) -> np.ndarray:
         )
     ops = _ops(c)
     out = np.array(planes, dtype=np.uint8)
-    rows = list(out)  # one view per qubit
+    run_ops(ops, list(out))
+    return out
+
+
+def run_ops(ops: list[tuple[int, int, int]], rows: list[np.ndarray]) -> None:
+    """Run ``_ops`` output in place over packed bit planes, one row per qubit.
+
+    Each op ANDs its control rows (negated for negative controls) into
+    a fire mask and XORs that into the target row, so an op costs a few
+    numpy calls over rows of ``len(rows[0])`` bytes.
+    """
+    fire, negated = np.empty_like(rows[0]), np.empty_like(rows[0])
     for mask, want, flip in ops:
-        fire = np.full(out.shape[1], 0xFF, np.uint8)
+        fire.fill(0xFF)
         while mask:
             low = mask & -mask
-            q = low.bit_length() - 1
-            fire &= rows[q] if want & low else ~rows[q]
+            row = rows[low.bit_length() - 1]
+            fire &= row if want & low else np.invert(row, out=negated)
             mask ^= low
         rows[flip.bit_length() - 1] ^= fire
-    return out

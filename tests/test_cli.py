@@ -295,6 +295,25 @@ class TestReduce:
         )
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "token",
+        ["a[x" + "1" * 5000 + "]", "zz" + "1" * 5000, "zz" * 2500 + "[1]"],
+        ids=["bad-offset", "unknown-name", "undeclared-register"],
+    )
+    def test_long_unresolvable_token_is_named_by_its_length(self, tmp_path, token, capsys):
+        args = ["reduce", fixture_path(MODADD), "--qubits", token, "--values", "0"]
+        assert main(args + ["-o", str(tmp_path / "k")]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: cannot resolve qubit token of {len(token)} characters\n"
+
+    def test_long_register_token_is_named_by_its_length(self, tmp_path, capsys):
+        label = "r" * 5000
+        circuit = write_circuit(tmp_path, "long.fqt", f"qreg {label} 2\nx {label}[0]\n")
+        args = ["reduce", circuit, "--qubits", label, "--values", "0"]
+        assert main(args + ["-o", str(tmp_path / "k")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: token of 5000 characters is a register, not a single qubit\n"
+
 
 class TestTestSubcommand:
     def test_bundled_suite_passes(self, capsys):

@@ -3,18 +3,21 @@ import itertools
 import math
 import random
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qforge import statevector
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named
 from qforge.library import cuccaro_full_add, mod_add
 from qforge.passes import resolve_names
 from qforge.statevector import (
     BasisOutOfRange,
     StateTooLarge,
+    StateVector,
     apply_gate,
     init_state,
     probabilities,
@@ -336,3 +339,147 @@ def test_gates_allocate_no_state_sized_scratch_and_keep_nothing():
                         assert peak - before <= state_bytes, where
     finally:
         tracemalloc.stop()
+
+
+# ---- X/SWAP runs applied as one permutation
+
+
+def _gate_loop(c: Circuit, prep: int) -> np.ndarray:
+    s = init_state(c.n_qubits, prep)
+    for g in c.gates:
+        apply_gate(s, g)
+    return s.amplitudes
+
+
+def _fuse_everything():
+    # runs of any length fuse at any n, 64 indices a chunk: small cases
+    # reach _permute and, from 8 qubits on, its loop over several chunks
+    return mock.patch.multiple(
+        statevector, FUSE_MIN_GATES=1, FUSE_MIN_QUBITS=1, _CHUNK_BITS=6
+    )
+
+
+@st.composite
+def _permutation_heavy_circuits(draw):
+    n = draw(st.integers(1, 13))
+    hs = draw(st.integers(1, (1 << n) - 1))
+    # H first, so the amplitudes are not one basis state
+    gates = [Gate(GateKind.H, (Index(q),)) for q in range(n) if hs >> q & 1]
+    for _ in range(draw(st.integers(1, 4))):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        gates += random_indexed_circuit(
+            rng, n, draw(st.integers(0, 40)), kinds=[GateKind.X, GateKind.SWAP],
+            p_negative=0.5,
+        ).gates
+        gates += random_indexed_circuit(rng, n, draw(st.integers(0, 3))).gates
+    prep = draw(st.integers(0, (1 << n) - 1))
+    return Circuit((), n, tuple(gates)), prep
+
+
+@settings(max_examples=100, deadline=None)
+@given(_permutation_heavy_circuits())
+def test_run_equals_the_gate_loop_exactly_property(case):
+    c, prep = case
+    want = _gate_loop(c, prep)
+    assert np.array_equal(run(c, prep).amplitudes, want)
+    with _fuse_everything():
+        assert np.array_equal(run(c, prep).amplitudes, want)
+
+
+def _x_cycle(n: int, length: int, qubits) -> list[Gate]:
+    # CNOTs and Toffolis, polarities mixed, each target controlled by its neighbours
+    gates = []
+    for i in range(length):
+        t = qubits[i % len(qubits)]
+        controls = [(t + 1) % n, (t + 2) % n][: i % 3]
+        gates.append(_gate(GateKind.X, [t] + controls, [i % 2 == 0, i % 4 < 2]))
+    return gates
+
+
+def test_run_splits_where_a_run_would_target_every_qubit():
+    n = 12
+    hs = [Gate(GateKind.H, (Index(q),)) for q in range(n)]
+    xs = _x_cycle(n, 20, range(n - 1)) + _x_cycle(n, 20, range(1, n))
+    c = Circuit((), n, tuple(hs + xs + xs[:20]))
+    runs = list(statevector._permutation_runs(c.gates, n))
+    # the H layer is in no run; each run leaves its p untargeted
+    assert runs[0][0] == n and runs[-1][1] == len(c.gates) and len(runs) > 1
+    for start, stop, p in runs:
+        assert all(g.targets[0].index != p for g in c.gates[start:stop])
+    assert [stop for _, stop, _ in runs[:-1]] == [start for start, _, _ in runs[1:]]
+    assert sum(stop - start >= statevector.FUSE_MIN_GATES for start, stop, _ in runs) >= 2
+    assert np.array_equal(run(c, 5).amplitudes, _gate_loop(c, 5))
+
+
+def test_gates_naming_a_qubit_twice_are_left_to_apply_gate():
+    n = 12
+    hs = [Gate(GateKind.H, (Index(q),)) for q in range(n)]
+    xs = _x_cycle(n, 20, range(n - 1))
+    # verify rejects both; apply_gate ignores the control on the target
+    odd = Gate(GateKind.X, (Index(2),), (Control(Index(2), False), Control(Index(5))))
+    c = Circuit((), n, tuple(hs + xs + [odd] + xs))
+    assert np.array_equal(run(c, 3).amplitudes, _gate_loop(c, 3))
+    with pytest.raises(ValueError, match="swap targets are identical"):
+        run(Circuit((), n, tuple(xs + [_gate(GateKind.SWAP, [4, 4], [])] + xs)))
+
+
+@pytest.mark.parametrize(
+    "n, gates",
+    [
+        (1, [_gate(GateKind.H, [0], []), _gate(GateKind.X, [0], []),
+             _gate(GateKind.X, [0], [])]),
+        (2, [_gate(GateKind.H, [0], []), _gate(GateKind.X, [1], [True]),
+             _gate(GateKind.SWAP, [0, 1], []), _gate(GateKind.X, [0], [False]),
+             _gate(GateKind.SWAP, [1, 0], []), _gate(GateKind.X, [1], [])]),
+    ],
+    ids=["n1", "n2"],
+)
+def test_gates_that_target_every_qubit_are_never_fused(n, gates):
+    c = Circuit((), n, tuple(gates))
+    for start, stop, p in statevector._permutation_runs(c.gates, n):
+        assert 0 <= p < n and stop - start == 1
+    with _fuse_everything():
+        for prep in range(1 << n):
+            assert np.array_equal(run(c, prep).amplitudes, _gate_loop(c, prep))
+
+
+def test_run_is_exact_at_sixteen_qubits():
+    n = 16
+    rng = random.Random(59)
+    hs = [Gate(GateKind.H, (Index(q),)) for q in range(0, n, 2)]
+    perm = [_gate(GateKind.SWAP, rng.sample(range(n - 1), 3), [rng.random() < 0.5])
+            for _ in range(8)] + _x_cycle(n, 24, range(n - 1))
+    tail = [_gate(GateKind.T, [3], []), _gate(GateKind.Y, [7], [False])]
+    c = Circuit((), n, tuple(hs + perm + tail + perm[::-1]))
+    runs = [r for r in statevector._permutation_runs(c.gates, n)
+            if r[1] - r[0] >= statevector.FUSE_MIN_GATES]
+    assert [(start, stop) for start, stop, _ in runs] == [(8, 40), (42, 74)]
+    assert np.array_equal(run(c, 12345).amplitudes, _gate_loop(c, 12345))
+
+
+def test_fused_run_allocates_half_the_state_plus_scratch_and_keeps_nothing():
+    n = 16
+    state_bytes = np.dtype(complex).itemsize << n
+    rng = random.Random(61)
+    gates = _x_cycle(n, 40, range(n - 1))
+    gates[::5] = [_gate(GateKind.SWAP, rng.sample(range(n - 1), 2), []) for _ in gates[::5]]
+    # numpy's first call of each loop may cache a few bytes; not at n=16
+    warm = init_state(12)
+    statevector._permute(warm, _x_cycle(12, 20, range(11)), 11)
+
+    s = init_state(n)
+    s.amplitudes[:] = _random_state(rng, n)
+    want = StateVector(n, s.amplitudes.copy())
+    for g in gates:
+        apply_gate(want, g)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        statevector._permute(s, gates, n - 1)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - before <= state_bytes // 2 + (4 << 20)
+    assert current - before <= 1 << 10
+    assert np.array_equal(s.amplitudes, want.amplitudes)
