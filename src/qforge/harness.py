@@ -32,6 +32,7 @@ from enum import Enum
 from pathlib import Path
 
 from .ir import Circuit, InputError, QforgeError, check_basis, decode_registers, encode_registers
+from .ir import map_shared
 from .logic import BasisState, run_logic
 from .passes import PassConfig, checked, lower
 from .source import ParseError, parse_source
@@ -103,11 +104,18 @@ class TestReport:
         return self.passed == len(self.results)
 
 
-def _run_case(case: TestCase, lowered: bool) -> CaseResult:
+def _prepare(c: Circuit, lowered: bool) -> Circuit | QforgeError:
+    """The circuit cases run: lowered or checked, or the error doing so."""
     try:
-        circuit = (
-            lower(case.circuit, PassConfig()) if lowered else checked(case.circuit)
-        )
+        return lower(c, PassConfig()) if lowered else checked(c)
+    except QforgeError as e:
+        return e
+
+
+def _run_case(case: TestCase, circuit: Circuit | QforgeError) -> CaseResult:
+    if isinstance(circuit, QforgeError):
+        return CaseResult(case.name, "error", str(circuit))
+    try:
         bits = encode_registers(case.circuit, case.prep)
         if case.backend is Backend.LOGIC:
             # lowering may append ancillas; they prep to 0
@@ -158,8 +166,14 @@ def _run_case(case: TestCase, lowered: bool) -> CaseResult:
 
 
 def run_suite(cases: list[TestCase], lower: bool = False) -> TestReport:
-    """Run every case on its backend; results keep the case order."""
-    return TestReport(tuple(_run_case(case, lower) for case in cases))
+    """Run every case on its backend; results keep the case order.
+
+    Each distinct circuit object is prepared once, so its logic cases
+    also share one translation (``logic._ops``).
+    """
+    circuits = [case.circuit for case in cases]
+    prepared = map_shared(lambda _, c: _prepare(c, lower), circuits)
+    return TestReport(tuple(map(_run_case, cases, prepared)))
 
 
 # exactly the ASCII literals int(text, 0) reads; it alone would also

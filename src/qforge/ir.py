@@ -16,7 +16,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Sequence
+from typing import Callable, Sequence, TypeVar
+
+T = TypeVar("T")
+R = TypeVar("R")
 
 
 class QforgeError(Exception):
@@ -154,7 +157,7 @@ class Gate:
             )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)  # no slots: logic caches by weak reference
 class Circuit:
     """Ordered gate list over named registers plus anonymous qubits.
 
@@ -236,6 +239,21 @@ def index_of(ref: QubitRef, n: int) -> int:
     if not 0 <= ref.index < n:
         raise ValueError(f"qubit index {ref.index} out of range for {n} qubits")
     return ref.index
+
+
+def map_shared(f: Callable[[int, T], R], items: Sequence[T]) -> list[R]:
+    """``[f(i, x) for i, x in enumerate(items)]``, calling f only at the
+    first occurrence i of each object (told apart by ``id()``, which
+    items keeps from being reused); its repeats share that result, and
+    an error names the first occurrence."""
+    done: dict[int, R] = {}
+    out: list[R] = []
+    for i, x in enumerate(items):
+        key = id(x)
+        if key not in done:
+            done[key] = f(i, x)
+        out.append(done[key])
+    return out
 
 
 def new_circuit(*registers: tuple[str, int], n_qubits: int = 0) -> Circuit:

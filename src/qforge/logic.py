@@ -13,16 +13,21 @@ no lowering.
 ``run_planes`` runs the same ops on many basis states at once, one
 packed bit plane per qubit, for sweeps over every input; the
 state-vector backend runs them through ``run_ops`` to find where a run
-of X and SWAP gates moves each amplitude.
+of X and SWAP gates moves each amplitude. The ops (``_ops``) are built
+once per circuit object and cached while the circuit lives.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable
 
 import numpy as np
 
-from .ir import Circuit, GateKind, QforgeError, check_basis, index_of
+from .ir import Circuit, Gate, GateKind, QforgeError, check_basis, index_of, map_shared
+
+Ops = tuple[tuple[int, int, int], ...]
 
 
 class NonLogicGate(QforgeError):
@@ -61,52 +66,59 @@ def run_logic(c: Circuit, state: BasisState) -> BasisState:
     return BasisState(c.n_qubits, logic_function(c)(state.bits))
 
 
-def _ops(c: Circuit) -> list[tuple[int, int, int]]:
+# (weak reference to the circuit, its ops) by id(circuit); an entry
+# goes when its circuit is collected, so a reused id never hits
+_translations: dict[int, tuple[weakref.ref, Ops]] = {}
+
+
+def _ops(c: Circuit) -> Ops:
     """Every gate of a NOT-family circuit as ``(mask, want, flip)`` ops.
 
     ``flip`` applies when ``bits & mask == want``. A SWAP(p, q) becomes
     CX(p->q), CX(q->p), CX(p->q), each carrying the swap's controls, and
     SWAP(p, p) becomes nothing. Gates are taken as ``verify`` accepts
     them: a target reused as a control or a contradictory control pair
-    has no defined meaning. Gate objects repeated in the circuit (via
-    ``repeat``, or ``qp.to_circuit`` on repeated records) are translated
-    once, so million-gate circuits stay cheap. Raises NonLogicGate at
-    the first gate outside the NOT family.
+    has no defined meaning. The translation is built once per circuit
+    object and kept while the circuit lives, and within it once per
+    distinct gate object (gates shared via ``repeat``, the parser or
+    ``qp.to_circuit``), so million-gate circuits stay cheap. Raises
+    NonLogicGate at the first gate outside the NOT family.
     """
+    entry = _translations.get(id(c))
+    if entry is not None and entry[0]() is c:
+        return entry[1]
     n = c.n_qubits
     x, swap = GateKind.X, GateKind.SWAP  # enum attribute lookups are slow
-    cache: dict[int, tuple] = {}
-    ops: list[tuple[int, int, int]] = []
-    for gi, g in enumerate(c.gates):
-        gate_ops = cache.get(id(g))
-        if gate_ops is None:
-            kind = g.kind
-            if kind is not x and kind is not swap:
-                raise NonLogicGate(kind, gi)
-            mask = want = 0
-            for k in g.controls:
-                bit = 1 << index_of(k.qubit, n)
-                mask |= bit
-                if k.positive:
-                    want |= bit
-            p = 1 << index_of(g.targets[0], n)
-            if kind is x:
-                gate_ops = ((mask, want, p),)
-            else:
-                q = 1 << index_of(g.targets[1], n)
-                pq = (mask | p, want | p, q)
-                gate_ops = (pq, (mask | q, want | q, p), pq) if p != q else ()
-            cache[id(g)] = gate_ops
-        ops += gate_ops
+
+    def gate_ops(gi: int, g: Gate) -> Ops:
+        kind = g.kind
+        if kind is not x and kind is not swap:
+            raise NonLogicGate(kind, gi)
+        mask = want = 0
+        for k in g.controls:
+            bit = 1 << index_of(k.qubit, n)
+            mask |= bit
+            if k.positive:
+                want |= bit
+        p = 1 << index_of(g.targets[0], n)
+        if kind is x:
+            return ((mask, want, p),)
+        q = 1 << index_of(g.targets[1], n)
+        pq = (mask | p, want | p, q)
+        return (pq, (mask | q, want | q, p), pq) if p != q else ()
+
+    ops = tuple(chain.from_iterable(map_shared(gate_ops, c.gates)))
+    key = id(c)
+    _translations[key] = (weakref.ref(c, lambda _: _translations.pop(key, None)), ops)
     return ops
 
 
 def logic_function(c: Circuit) -> Callable[[int], int]:
     """Compile a NOT-family circuit into a plain bits -> bits function.
 
-    The gates run as ``_ops`` translates them. Useful on its own when
-    the same circuit is evaluated on a few inputs; ``run_planes``
-    evaluates it on many at once.
+    The gates run as ``_ops`` translates them, once per circuit object.
+    Useful on its own when the same circuit is evaluated on a few
+    inputs; ``run_planes`` evaluates it on many at once.
     """
     ops = _ops(c)
 
@@ -125,9 +137,9 @@ def run_planes(c: Circuit, planes: np.ndarray) -> np.ndarray:
     ``planes`` is a uint8 array with one row per qubit: row q holds
     qubit q's bit of every input, packed eight inputs to a byte (as
     ``np.packbits(..., bitorder="little")`` lays them out). The gates
-    run as ``run_ops`` runs them. NonLogicGate is raised before
-    anything is evaluated. Returns the output planes; the input is not
-    changed.
+    run as ``run_ops`` runs them, translated once per circuit object.
+    NonLogicGate is raised before anything is evaluated. Returns the
+    output planes; the input is not changed.
     """
     if planes.shape[0] != c.n_qubits:
         raise ValueError(
@@ -139,7 +151,7 @@ def run_planes(c: Circuit, planes: np.ndarray) -> np.ndarray:
     return out
 
 
-def run_ops(ops: list[tuple[int, int, int]], rows: list[np.ndarray]) -> None:
+def run_ops(ops: Ops, rows: list[np.ndarray]) -> None:
     """Run ``_ops`` output in place over packed bit planes, one row per qubit.
 
     Each op ANDs its control rows (negated for negative controls) into

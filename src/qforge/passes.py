@@ -9,12 +9,15 @@ multi-control expansion runs last so it only ever meets plain positive
 controls.
 
 Every pass is a pure circuit -> circuit function and each is
-idempotent, so reruns are harmless.
+idempotent, so reruns are harmless. Each does its per-gate work once
+per distinct gate object (``ir.map_shared``), and builds each new
+object (X flip, control, ancilla Toffoli) once, so repeats stay shared.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
+from itertools import chain
 
 from .ir import (
     MAX_QUBITS,
@@ -26,6 +29,7 @@ from .ir import (
     InputError,
     QforgeError,
     QubitRef,
+    map_shared,
     register_bases,
 )
 from .qp import QPProgram, from_circuit
@@ -91,43 +95,46 @@ def _resolve(c: Circuit) -> tuple[list[Gate | None], list[Diagnostic]]:
     Returns every gate with its references indexed (None for a gate
     with an unresolvable reference) and the well-formedness diagnostics
     in gate order; a broken gate's first diagnostic names its first
-    unresolvable reference.
+    unresolvable reference. A repeated gate object is resolved once and
+    its diagnostics repeat at each of its indices.
     """
     resolve = _resolver(c)
     # resolved references repeat across gates; build each one once
     index = cache(Index)
     control = cache(lambda q, positive: Control(index(q), positive))
-    gates: list[Gate | None] = []
-    diags: list[Diagnostic] = []
-    for gi, g in enumerate(c.gates):
+
+    def gate(_, g: Gate) -> tuple[Gate | None, list[str]]:
         targets = [resolve(t) for t in g.targets]
         controls = [resolve(k.qubit) for k in g.controls]
         refs = targets + controls
         if str in map(type, refs):
-            diags.extend(Diagnostic(gi, r) for r in refs if isinstance(r, str))
-            gates.append(None)
-            continue
+            return None, [r for r in refs if isinstance(r, str)]
+        problems: list[str] = []
         if len(set(refs)) < len(refs):  # some qubit is named twice
             if g.kind is GateKind.SWAP and targets[0] == targets[1]:
-                diags.append(
-                    Diagnostic(gi, f"swap targets are identical (qubit {targets[0]})")
-                )
+                problems.append(f"swap targets are identical (qubit {targets[0]})")
             seen: dict[int, bool] = {}
             for q, k in zip(controls, g.controls):
                 if q in targets:
-                    diags.append(Diagnostic(gi, f"target qubit {q} used as a control"))
+                    problems.append(f"target qubit {q} used as a control")
                 elif q not in seen:
                     seen[q] = k.positive
                 elif seen[q] == k.positive:
-                    diags.append(Diagnostic(gi, f"duplicate control on qubit {q}"))
+                    problems.append(f"duplicate control on qubit {q}")
                 else:
-                    both = f"qubit {q} is both a positive and a negative control"
-                    diags.append(Diagnostic(gi, both))
+                    problems.append(f"qubit {q} is both a positive and a negative control")
         indexed_controls = tuple(
             control(q, k.positive) for q, k in zip(controls, g.controls)
         )
-        gates.append(Gate(g.kind, tuple(map(index, targets)), indexed_controls))
-    return gates, diags
+        return Gate(g.kind, tuple(map(index, targets)), indexed_controls), problems
+
+    resolved = map_shared(gate, c.gates)
+    diags = [
+        Diagnostic(gi, message)
+        for gi, (_, problems) in enumerate(resolved)
+        for message in problems
+    ]
+    return [g for g, _ in resolved], diags
 
 
 def verify(c: Circuit) -> list[Diagnostic]:
@@ -161,24 +168,30 @@ def resolve_names(c: Circuit) -> tuple[Circuit, dict[tuple[str, int], int]]:
     return Circuit(c.registers, c.n_qubits, tuple(gates)), table
 
 
+def _replaced(c: Circuit, replace) -> tuple[Gate, ...]:
+    """c's gates, each replaced by replace's tuple, built once per object."""
+    return tuple(chain.from_iterable(map_shared(replace, c.gates)))
+
+
 def lower_swaps(c: Circuit) -> Circuit:
     """Replace SWAP(p, q) with CX(p->q), CX(q->p), CX(p->q).
 
     Controls on the swap are carried onto all three NOTs, so controlled
     swaps lower exactly.
     """
-    out: list[Gate] = []
-    for g in c.gates:
+
+    def lower(_, g: Gate) -> tuple[Gate, ...]:
         if g.kind is not GateKind.SWAP:
-            out.append(g)
-            continue
+            return (g,)
         p, q = g.targets
 
         def cx(a: QubitRef, b: QubitRef) -> Gate:
             return Gate(GateKind.X, (b,), g.controls + (Control(a, True),))
 
-        out.extend((cx(p, q), cx(q, p), cx(p, q)))
-    return Circuit(c.registers, c.n_qubits, tuple(out))
+        pq = cx(p, q)
+        return (pq, cx(q, p), pq)
+
+    return Circuit(c.registers, c.n_qubits, _replaced(c, lower))
 
 
 def lower_negative_controls(c: Circuit) -> Circuit:
@@ -188,19 +201,18 @@ def lower_negative_controls(c: Circuit) -> Circuit:
     immediately before and after the gate. No cancellation of adjacent
     X pairs is attempted.
     """
-    out: list[Gate] = []
-    for g in c.gates:
-        flips = [
-            Gate(GateKind.X, (k.qubit,), ()) for k in g.controls if not k.positive
-        ]
+    # one X flip and one positive control per qubit
+    flip = cache(lambda q: Gate(GateKind.X, (q,), ()))
+    positive = cache(lambda q: Control(q, True))
+
+    def lower(_, g: Gate) -> tuple[Gate, ...]:
+        flips = tuple(flip(k.qubit) for k in g.controls if not k.positive)
         if not flips:
-            out.append(g)
-            continue
-        positive = tuple(Control(k.qubit, True) for k in g.controls)
-        out.extend(flips)
-        out.append(Gate(g.kind, g.targets, positive))
-        out.extend(reversed(flips))
-    return Circuit(c.registers, c.n_qubits, tuple(out))
+            return (g,)
+        controls = tuple(positive(k.qubit) for k in g.controls)
+        return (*flips, Gate(g.kind, g.targets, controls), *reversed(flips))
+
+    return Circuit(c.registers, c.n_qubits, _replaced(c, lower))
 
 
 def _fresh_ancilla_label(c: Circuit) -> str:
@@ -233,11 +245,14 @@ def expand_multi_controls(c: Circuit, cfg: PassConfig) -> Circuit:
     registers = c.registers
     if c.register_span == c.n_qubits:
         registers = registers + ((_fresh_ancilla_label(c), pool),)
-    out: list[Gate] = []
-    for g in c.gates:
+    # one ancilla reference each, one Toffoli per (ancilla, control, control)
+    ancilla = cache(lambda i: Index(base + i))
+    stand_in = cache(lambda i: Control(ancilla(i), True))
+    toffoli = cache(lambda i, a, b: Gate(GateKind.X, (ancilla(i),), (a, b)))
+
+    def expand(_, g: Gate) -> tuple[Gate, ...]:
         if len(g.controls) <= m:
-            out.append(g)
-            continue
+            return (g,)
         for k in g.controls:
             if not k.positive:
                 raise ValueError(
@@ -245,16 +260,13 @@ def expand_multi_controls(c: Circuit, cfg: PassConfig) -> Circuit:
                 )
         controls = list(g.controls)
         computed: list[Gate] = []
-        next_ancilla = base
         while len(controls) > m:
-            w = Index(next_ancilla)
-            next_ancilla += 1
-            computed.append(Gate(GateKind.X, (w,), (controls[0], controls[1])))
-            controls = [Control(w, True)] + controls[2:]
-        out.extend(computed)
-        out.append(Gate(g.kind, g.targets, tuple(controls)))
-        out.extend(reversed(computed))
-    return Circuit(registers, base + pool, tuple(out))
+            i = len(computed)
+            computed.append(toffoli(i, controls[0], controls[1]))
+            controls = [stand_in(i)] + controls[2:]
+        return (*computed, Gate(g.kind, g.targets, tuple(controls)), *reversed(computed))
+
+    return Circuit(registers, base + pool, _replaced(c, expand))
 
 
 def checked(c: Circuit) -> Circuit:

@@ -13,7 +13,8 @@ Opcodes: 1=x 2=y 3=z 4=h 5=s 6=sdg 7=t 8=tdg. SWAP has no opcode on
 purpose; it must be lowered before a program can be emitted.
 
 ``from_circuit`` and ``to_circuit`` are the codec to and from circuits;
-a ``QPProgram`` is checked once, when it is built.
+a ``QPProgram`` is checked once, when it is built. Every step works
+once per distinct gate or record, so repeated blocks cost little.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, QforgeError
+from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, QforgeError, map_shared
 
 OPCODES: dict[GateKind, int] = {
     GateKind.X: 1,
@@ -91,9 +92,9 @@ class QPProgram:
     gates: tuple[QPGate, ...] = ()
 
     def __post_init__(self) -> None:
-        _check_header(self.n_qubits, self.max_controls)
-        for gi, g in enumerate(self.gates):
-            _check_gate(g, gi, self.n_qubits, self.max_controls)
+        n_qubits, max_controls = self.n_qubits, self.max_controls
+        _check_header(n_qubits, max_controls)
+        map_shared(lambda gi, g: _check_gate(g, gi, n_qubits, max_controls), self.gates)
 
 
 def _check_header(n_qubits: int, max_controls: int) -> None:
@@ -135,23 +136,35 @@ def from_circuit(c: Circuit, max_controls: int) -> QPProgram:
     """Encode a lowered circuit: indexed, swap-free, with at most
     max_controls positive controls per gate. Inverse of to_circuit."""
     pad = (-1,) * max_controls
-    gates = []
-    for gi, g in enumerate(c.gates):
+
+    def encode(gi: int, g: Gate) -> QPGate:
         opcode = OPCODES.get(g.kind)
         slots = tuple(k.qubit.index for k in g.controls if k.positive)
         if opcode is None or len(slots) < len(g.controls):
             raise InvariantViolation("swaps and negative controls need lowering", gi)
-        slots += pad[len(slots):]
-        gates.append(QPGate(opcode, g.targets[0].index, slots))
-    return QPProgram(c.n_qubits, max_controls, tuple(gates))
+        return QPGate(opcode, g.targets[0].index, slots + pad[len(slots):])
+
+    return QPProgram(c.n_qubits, max_controls, tuple(map_shared(encode, c.gates)))
 
 
 def emit_qp(p: QPProgram) -> str:
     """Serialize a program; deterministic byte-for-byte."""
-    parts = [f"{p.n_qubits} {len(p.gates)} {p.max_controls}"]
-    for g in p.gates:
-        parts.append(" ".join(str(v) for v in (g.opcode, g.target, *g.controls)))
-    return "  ".join(parts)
+
+    def record(_, g: QPGate) -> str:
+        return " ".join(map(str, (g.opcode, g.target, *g.controls)))
+
+    header = f"{p.n_qubits} {len(p.gates)} {p.max_controls}"
+    return "  ".join([header, *map_shared(record, p.gates)])
+
+
+def _int(tok: str) -> int:
+    try:
+        return int(tok)
+    except ValueError:
+        if not tok.removeprefix("-").isdigit():
+            raise NonIntegerToken(f"not an integer: {tok!r}") from None
+        # int() refuses an integer of thousands of digits; not echoed
+        raise QPFormatError(f"integer of {len(tok)} characters is too long") from None
 
 
 def parse_qp(text: str) -> QPProgram:
@@ -159,15 +172,11 @@ def parse_qp(text: str) -> QPProgram:
     if not _QP_CHARS.fullmatch(text):
         bad = next(t for t in _QP_TOKEN.findall(text) if not _QP_CHARS.fullmatch(t))
         raise NonIntegerToken(f"not an integer: {bad!r}")
-    values = []
-    for tok in text.split():  # only ASCII whitespace is left to split at
-        try:
-            values.append(int(tok))
-        except ValueError:
-            if not tok.removeprefix("-").isdigit():
-                raise NonIntegerToken(f"not an integer: {tok!r}") from None
-            # int() refuses an integer of thousands of digits; not echoed
-            raise QPFormatError(f"integer of {len(tok)} characters is too long") from None
+    tokens = text.split()  # only ASCII whitespace is left to split at
+    try:
+        values = list(map(int, tokens))
+    except ValueError:  # again, naming the first token int() refuses
+        values = list(map(_int, tokens))
     if len(values) < 3:
         raise Truncated(f"header needs 3 integers, got {len(values)}")
     n_qubits, n_gates, max_controls = values[0], values[1], values[2]
@@ -180,10 +189,10 @@ def parse_qp(text: str) -> QPProgram:
         raise Truncated(f"expected {expected} integers, got {len(values)}")
     if len(values) > expected:
         raise QPFormatError(f"{len(values) - expected} trailing token(s)")
-    gates = tuple(
-        QPGate(values[i], values[i + 1], tuple(values[i + 2 : i + width]))
-        for i in range(3, expected, width)
-    )
+    # one QPGate per distinct record, shared by its repeats
+    record = cache(lambda r: QPGate(r[0], r[1], r[2:]))
+    fields = iter(values[3:])
+    gates = tuple(map(record, zip(*[fields] * width)))  # width-tuples in order
     return QPProgram(n_qubits, max_controls, gates)
 
 

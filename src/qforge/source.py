@@ -88,9 +88,14 @@ def parse_source(text: str) -> Circuit:
     registers: dict[str, int] = {}
     total = 0  # qubits declared so far
     gates: list[Gate] = []
+    # registers only grow, so a repeated gate line reads as its first
+    parsed: dict[str, Gate] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         body = raw.split("#", 1)[0].rstrip()
         if not body:
+            continue
+        if body in parsed:
+            gates.append(parsed[body])
             continue
         head = _HEAD.match(body)
         _require(head, ("a gate name or 'qreg'",), body, lineno)
@@ -125,7 +130,8 @@ def parse_source(text: str) -> Circuit:
                 raise ParseError("a target cannot be negated", lineno, bang + 1)
         targets = tuple(ref for ref, _ in operands[:n_targets])
         controls = tuple(Control(ref, bang < 0) for ref, bang in operands[n_targets:])
-        gates.append(Gate(kind, targets, controls))
+        parsed[body] = Gate(kind, targets, controls)
+        gates.append(parsed[body])
     return Circuit(tuple(registers.items()), total, tuple(gates))
 
 

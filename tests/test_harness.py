@@ -5,6 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from qforge import harness
 from qforge.harness import (
     AmplitudeExpectation,
     Backend,
@@ -385,3 +386,38 @@ def test_parse_suite_is_total(tmp_path, text):
     except SuiteError:
         return
     assert all(isinstance(case, TestCase) for case in cases)
+
+
+@pytest.mark.parametrize("lower", [False, True])
+def test_each_circuit_is_prepared_once(monkeypatch, lower):
+    calls = []
+    for name in ("checked", "lower"):
+        original = getattr(harness, name)
+        monkeypatch.setattr(
+            harness, name, lambda c, *a, f=original: calls.append(c) or f(c, *a)
+        )
+    adder = mod_add(4)
+    other = mod_add(4)  # equal, but its own object
+    cases = [
+        TestCase("a", adder, Backend.LOGIC, {"a": 1, "b": 2}, {"b": 3}),
+        TestCase("b", other, Backend.LOGIC, {"a": 2, "b": 2}, {"b": 4}),
+        TestCase("c", adder, Backend.LOGIC, {"a": 3, "b": 2}, {"b": 6}),
+        TestCase("d", adder, Backend.SV, {"a": 3, "b": 2}),
+    ]
+    report = run_suite(cases, lower=lower)
+    assert [r.name for r in report.results] == ["a", "b", "c", "d"]
+    assert [r.status for r in report.results] == ["pass", "pass", "fail", "fail"]
+    assert [id(c) for c in calls] == [id(adder), id(other)]
+
+
+def test_a_circuit_that_fails_to_prepare_fails_each_of_its_cases():
+    broken = new_circuit(("q", 1)) + x(Named("q", 3))
+    cases = [
+        TestCase("a", broken, Backend.LOGIC),
+        adder_case("ok", 1, 2, {"b": 3}),
+        TestCase("b", broken, Backend.SV),
+    ]
+    results = run_suite(cases).results
+    assert [r.status for r in results] == ["error", "pass", "error"]
+    assert results[0].message == results[2].message
+    assert results[0].message.startswith("verify: 1 error(s); first: gate 0:")

@@ -1,4 +1,5 @@
 """Computational-basis backend: truth tables, errors, cross-simulator."""
+import gc
 import random
 import time
 
@@ -8,7 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, repeat
-from qforge.logic import BasisState, NonLogicGate, logic_function, run_logic, run_planes
+from qforge.logic import (
+    BasisState,
+    NonLogicGate,
+    _ops,
+    _translations,
+    logic_function,
+    run_logic,
+    run_planes,
+)
 from qforge.statevector import probabilities, run
 
 from helpers import dense_unitary, random_x_circuit
@@ -180,3 +189,24 @@ def test_run_planes_checks_before_evaluating():
         run_planes(c, _all_inputs(2))
     with pytest.raises(ValueError, match="3 rows"):
         run_planes(c, _all_inputs(3))
+
+
+def test_translation_is_kept_while_its_circuit_lives():
+    c = Circuit((), 3, (Gate(GateKind.X, (Index(0),)),) * 4)
+    ops = _ops(c)
+    assert _ops(c) is ops
+    assert isinstance(ops, tuple)
+    key = id(c)
+    assert key in _translations
+    del c
+    gc.collect()
+    assert key not in _translations
+
+
+def test_new_circuit_after_a_deleted_one_gets_its_own_results():
+    for k in range(40):
+        # each circuit is freed before the next is built, so ids repeat
+        c = Circuit((), 4, (Gate(GateKind.X, (Index(k % 4),)),))
+        assert run_logic(c, BasisState(4, 0)).bits == 1 << (k % 4)
+        assert logic_function(c)(0) == 1 << (k % 4)
+        del c

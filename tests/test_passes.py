@@ -26,12 +26,13 @@ from qforge.passes import (
     checked,
     compile_circuit,
     expand_multi_controls,
+    lower,
     lower_negative_controls,
     lower_swaps,
     resolve_names,
     verify,
 )
-from qforge.qp import to_circuit
+from qforge.qp import emit_qp, to_circuit
 from qforge.statevector import run
 
 from helpers import random_indexed_circuit
@@ -427,3 +428,68 @@ def test_checked_verify_and_resolve_names_agree(case):
         assert first in str(info.value)
     else:
         assert checked(c) == resolved
+
+
+def _fresh(c):
+    """c with a new object for every gate and every reference in it."""
+
+    def copy(ref):
+        return Index(ref.index) if isinstance(ref, Index) else Named(ref.label, ref.offset)
+
+    gates = tuple(
+        Gate(
+            g.kind,
+            tuple(map(copy, g.targets)),
+            tuple(Control(copy(k.qubit), k.positive) for k in g.controls),
+        )
+        for g in c.gates
+    )
+    return Circuit(c.registers, c.n_qubits, gates)
+
+
+@st.composite
+def _shared_circuits(draw):
+    """Circuits whose gates are drawn, with repeats, from a pool of gate
+    objects: broken named gates, or clean ones with SWAPs and up to 4
+    mixed-polarity controls."""
+    pool = draw(
+        st.one_of(
+            _named_circuits().map(lambda case: case[0]),
+            _lowerable_circuits(list(GateKind)),
+        )
+    )
+    if not pool.gates:
+        return pool
+    picks = draw(st.lists(st.integers(0, len(pool.gates) - 1), max_size=24))
+    return Circuit(pool.registers, pool.n_qubits, tuple(pool.gates[i] for i in picks))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_shared_circuits(), st.integers(2, 3))
+def test_shared_gates_verify_and_compile_like_fresh_copies(c, m):
+    fresh = _fresh(c)
+    assert verify(c) == verify(fresh)
+
+    def compiled(circuit):
+        try:
+            return emit_qp(compile_circuit(circuit, PassConfig(m)))
+        except CompileError as e:
+            return str(e)
+
+    assert compiled(c) == compiled(fresh)
+
+
+def test_lowering_builds_each_new_gate_once():
+    def gate():
+        return mcx_gate([0, 1, 2, 3], 4, [False, True, False, True])
+
+    g = gate()
+    lowered = lower(Circuit((), 5, (g, g, g, gate())), PassConfig(2)).gates
+    # 2 X flips, 2 Toffolis, the gate, 2 Toffolis, 2 X flips
+    first, *repeats, equal = (lowered[i : i + 9] for i in range(0, 36, 9))
+    assert len(lowered) == 36
+    for copy in repeats:
+        assert all(a is b for a, b in zip(first, copy))
+    # an equal gate of its own shares every new object but its own image
+    assert equal == first
+    assert [a is b for a, b in zip(first, equal)] == [True] * 4 + [False] + [True] * 4

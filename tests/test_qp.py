@@ -295,3 +295,31 @@ def test_broken_record_fails_alike_built_or_parsed(p, data, how):
         parse_qp(" ".join(map(str, values)))
     assert type(built.value) is type(parsed.value)
     assert built.value.gate_index == parsed.value.gate_index == gi
+
+
+def test_repeated_bad_record_fails_at_its_first_occurrence():
+    good, bad = QPGate(1, 0, (1, -1)), QPGate(1, 0, (0, -1))
+    with pytest.raises(BadIndex, match="^gate 1: control 0 equals target$") as info:
+        QPProgram(2, 2, (good, bad, good, bad))
+    assert info.value.gate_index == 1
+    with pytest.raises(BadIndex, match="^gate 1: control 0 equals target$") as info:
+        parse_qp("2 4 2  1 0 1 -1  1 0 0 -1  1 0 1 -1  1 0 0 -1")
+    assert info.value.gate_index == 1
+    cx = Gate(GateKind.X, (Index(1),), (Control(Index(0)),))
+    swap = Gate(GateKind.SWAP, (Index(0), Index(1)))
+    with pytest.raises(InvariantViolation, match="^gate 1: swaps") as info:
+        from_circuit(Circuit((), 2, (cx, swap, cx, swap)), 2)
+    assert info.value.gate_index == 1
+
+
+def test_parse_qp_shares_repeated_records():
+    p = parse_qp("3 3 2  1 0 1 2  1 1 0 -1  1 0 1 2")
+    assert p.gates[0] is p.gates[2]
+    assert p.gates[0] is not p.gates[1]
+
+
+def test_bad_token_after_good_ones_is_named():
+    with pytest.raises(NonIntegerToken, match="not an integer: '1-2'"):
+        parse_qp("2 1 2  1 0 1-2 -1")
+    with pytest.raises(QPFormatError, match="integer of 5000 characters is too long"):
+        parse_qp("2 1 2  1 0 " + "1" * 5000 + " -")

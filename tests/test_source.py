@@ -257,3 +257,16 @@ def test_parser_total_on_junk():
             assert isinstance(result, Circuit)
         except ParseError:
             pass
+
+
+def test_repeated_gate_lines_share_one_gate():
+    c = parse_source("qreg a 2\nx a[0] !a[1]\nh a[1]\nx a[0] !a[1]  # again\nx  a[0] !a[1]")
+    assert c.gates[0] is c.gates[2]
+    assert c.gates[0] == c.gates[3]
+    assert c.gates[1] is not c.gates[0]
+
+
+def test_repeated_bad_line_fails_at_its_first_line():
+    with pytest.raises(UndeclaredRegister) as info:
+        parse_source("qreg a 1\nx a[0]\nx b[0]\nx a[0]\nqreg b 1\nx b[0]\n")
+    assert (info.value.line, info.value.col) == (3, 3)
