@@ -30,7 +30,7 @@ from .ir import (
 from .logic import BasisState, run_logic
 from .passes import PassConfig, _resolver, checked, compile_circuit, verify
 from .qp import emit_qp, parse_qp, to_circuit
-from .reduction import generate_kernels, write_kernels
+from .reduction import generate_kernels, kernel_file_name, write_kernels
 from .source import parse_source
 from .statevector import probabilities, run
 
@@ -156,6 +156,7 @@ def _cmd_reduce(args) -> int:
         value = value.strip()
         if not all(ch in "01" for ch in value):
             raise InputError(f"value {value!r} must be a bit string")
+        kernel_file_name(Path(args.file).stem, value)  # refuses an overlong name
         values.append([int(ch) for ch in value])
     report = generate_kernels(circuit, qubit_indices, values)
     manifest = write_kernels(report, Path(args.file).stem, args.output)

@@ -10,11 +10,11 @@ state-vector backend.
 Negative controls cost nothing here, so they are honored directly with
 no lowering.
 
-``run_planes`` runs the same ops on many basis states at once, one
-packed bit plane per qubit, for sweeps over every input; the
-state-vector backend runs them through ``run_ops`` to find where a run
-of X and SWAP gates moves each amplitude. The ops (``_ops``) are built
-once per circuit object and cached while the circuit lives.
+Many states at once run on bit planes, whose layout only this module
+knows: one uint8 row per qubit, state i's bit at bit i % 8 of byte
+i // 8 (``np.packbits(..., bitorder="little")``). ``run_ops`` runs ops
+on them, ``sweep`` fills them with every value of some qubits in blocks
+of at most PLANE_SCRATCH bytes, and ``plane_indices`` decodes them.
 """
 from __future__ import annotations
 
@@ -28,6 +28,14 @@ import numpy as np
 from .ir import Circuit, Gate, GateKind, QforgeError, check_basis, index_of, map_shared
 
 Ops = tuple[tuple[int, int, int], ...]
+
+PLANE_SCRATCH = 4 << 20  # most bytes of planes a sweep holds, whatever n is
+# (shift, mask) of the three delta swaps of an 8x8 bit transpose
+_TRANSPOSE_STEPS = [
+    (7, np.uint64(0x00AA00AA00AA00AA)),
+    (14, np.uint64(0x0000CCCC0000CCCC)),
+    (28, np.uint64(0x00000000F0F0F0F0)),
+]
 
 
 class NonLogicGate(QforgeError):
@@ -118,7 +126,7 @@ def logic_function(c: Circuit) -> Callable[[int], int]:
 
     The gates run as ``_ops`` translates them, once per circuit object.
     Useful on its own when the same circuit is evaluated on a few
-    inputs; ``run_planes`` evaluates it on many at once.
+    inputs; ``sweep`` evaluates it on many at once.
     """
     ops = _ops(c)
 
@@ -131,32 +139,11 @@ def logic_function(c: Circuit) -> Callable[[int], int]:
     return apply
 
 
-def run_planes(c: Circuit, planes: np.ndarray) -> np.ndarray:
-    """Run a NOT-family circuit on many basis states at once.
-
-    ``planes`` is a uint8 array with one row per qubit: row q holds
-    qubit q's bit of every input, packed eight inputs to a byte (as
-    ``np.packbits(..., bitorder="little")`` lays them out). The gates
-    run as ``run_ops`` runs them, translated once per circuit object.
-    NonLogicGate is raised before anything is evaluated. Returns the
-    output planes; the input is not changed.
-    """
-    if planes.shape[0] != c.n_qubits:
-        raise ValueError(
-            f"planes have {planes.shape[0]} rows, circuit has {c.n_qubits} qubits"
-        )
-    ops = _ops(c)
-    out = np.array(planes, dtype=np.uint8)
-    run_ops(ops, list(out))
-    return out
-
-
 def run_ops(ops: Ops, rows: list[np.ndarray]) -> None:
-    """Run ``_ops`` output in place over packed bit planes, one row per qubit.
+    """Run ``_ops`` output in place over bit planes, one row per qubit.
 
     Each op ANDs its control rows (negated for negative controls) into
-    a fire mask and XORs that into the target row, so an op costs a few
-    numpy calls over rows of ``len(rows[0])`` bytes.
+    a fire mask and XORs that into the target row: a few numpy calls.
     """
     fire, negated = np.empty_like(rows[0]), np.empty_like(rows[0])
     for mask, want, flip in ops:
@@ -167,3 +154,61 @@ def run_ops(ops: Ops, rows: list[np.ndarray]) -> None:
             fire &= row if want & low else np.invert(row, out=negated)
             mask ^= low
         rows[flip.bit_length() - 1] ^= fire
+
+
+def sweep(ops: Ops, n: int, fixed: int, free: list[int], chunk_bits: int):
+    """Run ``ops`` on every value of the ``free`` qubits, a block at a time.
+
+    Bit b of a value is qubit ``free[b]``; every other qubit holds its
+    bit of ``fixed``. Yields, in order, each block's slice of 2**chunk_bits
+    values (fewer if their planes would pass PLANE_SCRATCH) and output
+    planes, which the caller may change. Planes are at least a byte
+    wide: state i holds the block's value i mod its value count.
+    """
+    cap = (PLANE_SCRATCH // max(n, 1)).bit_length() + 2  # 8 * width values fit
+    chunk_bits = min(chunk_bits, len(free), cap)
+    width = max(1, (1 << chunk_bits) >> 3)
+    planes = np.empty((n, width), np.uint8)
+    rows = list(planes)
+    held = np.array([-(fixed >> q & 1) & 0xFF for q in range(n)], np.uint8)[:, None]
+    # bits 0, 1 and 2 of 0, 1, ..., 7; higher bits in whole bytes
+    counting = np.empty((chunk_bits, width), np.uint8)
+    counting[:3] = np.array([[0xAA], [0xCC], [0xF0]], np.uint8)[:chunk_bits]
+    for b in range(3, chunk_bits):
+        counting[b] = (np.arange(width) >> (b - 3) & 1) * 0xFF
+    for block in range(1 << (len(free) - chunk_bits)):
+        planes[...] = held
+        planes[free[:chunk_bits]] = counting
+        for b in range(chunk_bits, len(free)):
+            planes[free[b]] = -(block >> (b - chunk_bits) & 1) & 0xFF
+        run_ops(ops, rows)
+        yield slice(block << chunk_bits, (block + 1) << chunk_bits), planes
+
+
+def plane_indices(planes: np.ndarray, count: int) -> np.ndarray:
+    """Per state, of the first ``count``, the integer whose bit r is row r.
+
+    With rows padded to a multiple of 8, each 8-row by 8-state block, as
+    one uint64 word, is transposed as an 8x8 bit matrix (bit 8r + i
+    moves to 8i + r), so byte i of the word becomes state i's byte of
+    rows 8k to 8k + 7; the bytes are then shifted into place.
+    """
+    groups, width = max(1, -(-len(planes) // 8)), planes.shape[1]
+    padded = np.zeros((groups * 8, width), np.uint8)
+    padded[:len(planes)] = planes
+    words = padded.reshape(groups, 8, width).transpose(0, 2, 1).copy().view("<u8")
+    t = np.empty_like(words)
+    for shift, mask in _TRANSPOSE_STEPS:  # in place: no temporary per ufunc
+        np.right_shift(words, shift, out=t)
+        t ^= words
+        t &= mask
+        words ^= t
+        t <<= shift
+        words ^= t
+    byte = words.view(np.uint8).reshape(groups, 8 * width)[:, :count]
+    index = byte[0].astype(np.intp)
+    shifted = np.empty_like(index)
+    for k in range(1, groups):
+        np.left_shift(byte[k], 8 * k, out=shifted, dtype=np.intp)
+        index |= shifted
+    return index

@@ -16,12 +16,12 @@ smaller than the original's. Two strategies are tried in order:
   output depends on the free inputs the specialization is entangled
   and removing the qubits would change semantics, which is an error.
 
-  Cost, with m free qubits out of n: extraction runs all 2**m free
-  values at once on packed bit planes (n * 2**m / 8 bytes), a few
-  numpy calls per gate. Synthesis keeps the permutation table and its
-  inverse, so a fix with c controls swaps 2**(m-c-1) value pairs
-  instead of sweeping all 2**m entries. At most SEMANTIC_MAX_FREE free
-  qubits are swept.
+  Cost, with m free qubits out of n: extraction runs the 2**m free
+  values on ``logic``'s bit planes, at most ``logic.PLANE_SCRATCH``
+  bytes of them at a time, a few numpy calls per gate and block.
+  Synthesis keeps the permutation table and its inverse, so a fix with
+  c controls swaps 2**(m-c-1) value pairs instead of sweeping all 2**m
+  entries. At most SEMANTIC_MAX_FREE free qubits are swept.
 
 Kernel circuits are densely reindexed over the free qubits (old index
 order preserved) and carry a fresh register ``q`` so they can be
@@ -30,6 +30,7 @@ printed and run like any other circuit.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -38,13 +39,14 @@ import numpy as np
 
 from .fileio import atomic_write_text
 from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError, index_of
-from .logic import NonLogicGate, run_planes
+from .logic import NonLogicGate, _ops, plane_indices, sweep
 from .passes import _resolve
 from .source import print_source
 
-# most free qubits the semantic path sweeps; it bounds the bit planes'
-# memory (n * 2**m / 8 bytes), not the synthesis time
+# most free qubits the semantic path sweeps; it bounds the memory of the
+# 2**m-entry table and its synthesis, not time (planes: logic.PLANE_SCRATCH)
 SEMANTIC_MAX_FREE = 20
+NAME_MAX = 255  # longest file name, in bytes, a kernel may have
 
 
 class ReductionError(QforgeError):
@@ -202,45 +204,38 @@ def extract_permutation(
     More than SEMANTIC_MAX_FREE free qubits raise
     UnsupportedForSemanticReduction before any work is done.
 
-    All 2**m free values run at once through ``logic.run_planes``: one
-    packed bit-plane row per qubit, n * 2**m / 8 bytes in all, and a
-    few numpy calls over rows of 2**m / 8 bytes per gate.
+    Each block of ``logic.sweep`` is checked packed: every specialized
+    row must be all 0x00 or all 0xFF, as value 0's bit is.
     """
     _check_assignments(c, spec.assignments)
-    m = c.n_qubits - len(spec.assignments)
+    n = c.n_qubits
+    m = n - len(spec.assignments)
     if m > SEMANTIC_MAX_FREE:
         raise UnsupportedForSemanticReduction(
             f"{m} free qubits exceed the semantic sweep cap of {SEMANTIC_MAX_FREE}"
         )
-    size = 1 << m
-    values = np.arange(size)
-    free = list(_free_index_map(c.n_qubits, spec.assignments))
-    planes = np.empty((c.n_qubits, (size + 7) // 8), np.uint8)
-    for new, old in enumerate(free):
-        planes[old] = np.packbits((values >> new) & 1, bitorder="little")
-    for q, bit in spec.assignments.items():
-        planes[q] = 0xFF if bit else 0
     try:
-        out = run_planes(c, planes)
+        ops = _ops(c)
     except NonLogicGate as e:
         raise UnsupportedForSemanticReduction(str(e)) from e
-
-    def unpacked(rows: list[int]) -> np.ndarray:
-        return np.unpackbits(out[rows], axis=1, count=size, bitorder="little")
-
-    assigned = sorted(spec.assignments)
-    final = unpacked(assigned)
-    differs = (final != final[:, :1]).any(axis=0)
-    if differs.any():
-        raise EntangledSpecialization(
-            "specialized qubits do not end in a constant state; their "
-            f"output differs between free inputs (e.g. at value {differs.argmax()})"
-        )
-    constants = {q: int(final[i, 0]) for i, q in enumerate(assigned)}
-    perm = np.zeros(size, np.int64)
-    for new, bits in enumerate(unpacked(free)):
-        perm |= bits.astype(np.int64) << new
-    return perm.tolist(), constants
+    free = list(_free_index_map(n, spec.assignments))
+    fixed = sum(bit << q for q, bit in spec.assignments.items())
+    perm = np.empty(1 << m, np.intp)
+    for block, planes in sweep(ops, n, fixed, free, m):
+        count = block.stop - block.start
+        perm[block] = plane_indices(planes[free], count)
+        planes[free] = 0
+        if block.start == 0:
+            expected = -(planes[:, :1] & 1)  # value 0's bits as whole bytes
+        np.bitwise_xor(planes, expected, out=planes)
+        differs = np.bitwise_or.reduce(planes, axis=0)
+        if differs.any():
+            first = block.start + int(plane_indices(differs[None], count).argmax())
+            raise EntangledSpecialization(
+                "specialized qubits do not end in a constant state; their "
+                f"output differs between free inputs (e.g. at value {first})"
+            )
+    return perm.tolist(), {q: int(expected[q, 0] & 1) for q in sorted(spec.assignments)}
 
 
 def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
@@ -368,6 +363,16 @@ def generate_kernels(
     return ReductionReport(tuple(outcomes))
 
 
+def kernel_file_name(base_name: str, value: str) -> str:
+    """``<base>.k<value>.fqt``; InputError if that is over NAME_MAX bytes."""
+    name = f"{base_name}.k{value}.fqt"
+    size = len(os.fsencode(name))
+    if size > NAME_MAX:
+        raise InputError(f"a value of {len(value)} bits names a kernel file of "
+                         f"{size} bytes; at most {NAME_MAX} fit")
+    return name
+
+
 def write_kernels(
     report: ReductionReport, base_name: str, directory: str | Path
 ) -> dict:
@@ -385,7 +390,7 @@ def write_kernels(
         if outcome.kernel is None:
             entry["error"] = outcome.error
         else:
-            file_name = f"{base_name}.k{value_str}.fqt"
+            file_name = kernel_file_name(base_name, value_str)
             atomic_write_text(directory / file_name, print_source(outcome.kernel.circuit))
             entry["file"] = file_name
             entry["method"] = outcome.kernel.specialization.method

@@ -27,10 +27,11 @@ A run of X and SWAP gates, with any controls, only permutes basis
 states. ``run`` applies each run of at least FUSE_MIN_GATES such gates
 on at least FUSE_MIN_QUBITS qubits as one permutation (``_permute``),
 moving each amplitude once instead of once per gate: below those sizes
-the fixed cost of the step is not repaid. The step holds one half-size
-temporary and at most _FUSE_SCRATCH bytes besides, and ``init_state``
-counts both. It only moves amplitudes, so ``run`` is bit-identical to
-applying every gate with ``apply_gate``.
+the fixed cost of the step is not repaid. The step runs the gates on
+``logic``'s bit planes and holds one half-size temporary and at most
+``logic.PLANE_SCRATCH`` bytes besides; ``init_state`` counts both. It
+only moves amplitudes, so ``run`` is bit-identical to applying every
+gate with ``apply_gate``.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ import numpy as np
 
 from .ir import BasisOutOfRange  # re-exported
 from .ir import Circuit, Gate, GateKind, InputError, QforgeError, check_basis, index_of
-from .logic import _ops, run_ops
+from .logic import PLANE_SCRATCH, _ops, plane_indices, sweep
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -60,13 +61,6 @@ _PHASES: dict[GateKind, complex] = {
 FUSE_MIN_GATES = 16
 FUSE_MIN_QUBITS = 12
 _CHUNK_BITS = 16  # _permute handles 2**16 output indices per plane pass
-_FUSE_SCRATCH = 4 << 20  # what _permute holds besides its half-size temporary
-# (shift, mask) of the three delta swaps of an 8x8 bit transpose
-_TRANSPOSE_STEPS = [
-    (7, np.uint64(0x00AA00AA00AA00AA)),
-    (14, np.uint64(0x0000CCCC0000CCCC)),
-    (28, np.uint64(0x00000000F0F0F0F0)),
-]
 
 
 class StateTooLarge(QforgeError):
@@ -83,13 +77,13 @@ def init_state(n_qubits: int, basis: int = 0) -> StateVector:
     """State vector with amplitude 1 at the given basis index.
 
     Raises StateTooLarge, before allocating, when the state, the
-    half-size temporary of a gate and the _FUSE_SCRATCH bytes of a
+    half-size temporary of a gate and the PLANE_SCRATCH bytes of a
     fused X/SWAP run do not fit in physical memory.
     """
     if n_qubits < 1:
         raise InputError(f"n_qubits must be positive, got {n_qubits}")
     check_basis(basis, n_qubits)
-    need = 3 * (np.dtype(complex).itemsize << (n_qubits - 1)) + _FUSE_SCRATCH
+    need = 3 * (np.dtype(complex).itemsize << (n_qubits - 1)) + PLANE_SCRATCH
     physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > physical:
         raise StateTooLarge(
@@ -212,72 +206,25 @@ def _permutation_runs(gates, n: int):
         yield start, len(gates), (everything & ~targeted).bit_length() - 1
 
 
-def _plane_indices(planes: np.ndarray, index: np.ndarray, shifted: np.ndarray) -> None:
-    """Write the integer whose bit q is row q of ``planes`` into ``index``.
-
-    ``planes`` has a multiple of 8 rows, packed as ``run_ops`` reads
-    them. Each 8-row by 8-input block, as one uint64 word, is
-    transposed as an 8x8 bit matrix (bit 8r + i moves to 8i + r), so
-    byte i of the word becomes input i's byte of rows 8k to 8k + 7;
-    the bytes are then shifted into place.
-    """
-    groups, width = planes.shape[0] // 8, planes.shape[1]
-    words = planes.reshape(groups, 8, width).transpose(0, 2, 1).copy().view("<u8")
-    t = np.empty_like(words)
-    for shift, mask in _TRANSPOSE_STEPS:  # in place: no temporary per ufunc
-        np.right_shift(words, shift, out=t)
-        t ^= words
-        t &= mask
-        words ^= t
-        t <<= shift
-        words ^= t
-    byte = words.view(np.uint8).reshape(groups, 8 * width)[:, :len(index)]
-    np.copyto(index, byte[0])
-    for k in range(1, groups):
-        np.left_shift(byte[k], 8 * k, out=shifted, dtype=index.dtype)
-        index |= shifted
-
-
 def _permute(state: StateVector, gates, p: int) -> None:
     """Apply a run of X/SWAP gates that never targets qubit p at once.
 
     The run maps each p-half of the state to itself. Each op of
-    ``logic._ops`` is an involution, so running the ops in reverse
-    (``logic.run_ops``) over bit planes of output indices gives the
-    index each output amplitude comes from. A half is gathered with
-    ``np.take`` into one half-size temporary, 2**_CHUNK_BITS output
-    indices at a time, and then written back.
+    ``logic._ops`` is an involution, so sweeping a half's output indices
+    through the ops in reverse gives each amplitude's source index, and
+    ``np.take`` gathers the half into one half-size temporary,
+    2**_CHUNK_BITS indices at a time, before it is written back.
     """
     n = state.n_qubits
     inverse = _ops(Circuit((), n, tuple(gates)))[::-1]
-    half_bits = n - 1
-    chunk_bits = min(_CHUNK_BITS, half_bits)
-    size = 1 << chunk_bits
-    width = max(1, size >> 3)  # bytes per plane row
-    # bit b of an index into the half is qubit b below p, b + 1 above
-    qubit = [b if b < p else b + 1 for b in range(half_bits)]
-    planes = np.zeros((-(-n // 8) * 8, width), np.uint8)
-    rows = list(planes[:n])
-    # bits 0, 1 and 2 of 0, 1, ..., 7; higher bits in whole bytes
-    counting = np.empty((chunk_bits, width), np.uint8)
-    counting[:3] = np.array([[0xAA], [0xCC], [0xF0]], np.uint8)[:chunk_bits]
-    column = np.arange(width)
-    for b in range(3, chunk_bits):
-        counting[b] = (column >> (b - 3) & 1) * 0xFF
-    index, shifted = np.empty(size, np.intp), np.empty(size, np.intp)
-    temp = np.empty(1 << half_bits, dtype=state.amplitudes.dtype)
+    qubits = [q for q in range(n) if q != p]  # bit b of an index into a half
+    temp = np.empty(1 << (n - 1), dtype=state.amplitudes.dtype)
     tensor = state.amplitudes.reshape((2,) * n)
     for h in (0, 1):
-        for chunk in range(1 << (half_bits - chunk_bits)):
-            planes[qubit[:chunk_bits]] = counting
-            planes[p] = -h & 0xFF
-            for b in range(chunk_bits, half_bits):
-                planes[qubit[b]] = -(chunk >> (b - chunk_bits) & 1) & 0xFF
-            run_ops(inverse, rows)
-            _plane_indices(planes, index, shifted)
-            out = temp[chunk * size:(chunk + 1) * size]
+        for block, planes in sweep(inverse, n, h << p, qubits, _CHUNK_BITS):
+            index = plane_indices(planes, block.stop - block.start)
             # every index is in range; mode="raise" would buffer out
-            np.take(state.amplitudes, index, out=out, mode="clip")
+            np.take(state.amplitudes, index, out=temp[block], mode="clip")
         half = tensor[(slice(None),) * (n - 1 - p) + (slice(h, h + 1),)]
         half[...] = temp.reshape(half.shape)
 

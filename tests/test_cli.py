@@ -8,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from qforge import cli
 from qforge.cli import main
 from qforge.harness import SuiteError
 from qforge.ir import CircuitError, InputError, QforgeError
@@ -416,6 +417,32 @@ class TestSizeLimits:
         args = ["reduce", path, "--qubits", "a0", "--values", "1", "-o", str(tmp_path / "k")]
         assert main(args) == 1
         assert "line 1, col 8: size above 65536" in capsys.readouterr().err
+
+    @staticmethod
+    def _reduce_wide(tmp_path, bits):
+        path = write_circuit(tmp_path, "wide.fqt", "qreg c 300\nqreg t 1\nx t[0] c[0]\n")
+        qubits = ",".join(f"c{i}" for i in range(bits))
+        out = str(tmp_path / "k")
+        return main(["reduce", path, "--qubits", qubits, "--values", "0" * bits, "-o", out])
+
+    def test_kernel_name_of_255_bytes_is_written(self, tmp_path, capsys):
+        # wide.k<245 bits>.fqt is 255 bytes, the longest name a file takes
+        assert self._reduce_wide(tmp_path, 245) == 0
+        assert capsys.readouterr().err == ""
+        kernels = [p.name for p in (tmp_path / "k").glob("*.fqt")]
+        assert kernels == [f"wide.k{'0' * 245}.fqt"] and len(kernels[0]) == 255
+
+    def test_longer_kernel_name_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("generate_kernels ran")
+
+        monkeypatch.setattr(cli, "generate_kernels", never)
+        assert self._reduce_wide(tmp_path, 246) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a value of 246 bits names a kernel file of 256 bytes; at most 255 fit\n"
+        assert not (tmp_path / "k").exists()
 
     def test_max_controls_bound(self, tmp_path, capsys):
         out = tmp_path / "c.qp"

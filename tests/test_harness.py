@@ -142,6 +142,24 @@ class TestRunSuite:
         assert res.status == "fail"
         assert "unlisted" in res.message
 
+    def test_sv_first_of_several_unlisted_amplitudes_is_named(self):
+        q = Named("q", 0), Named("q", 1), Named("q", 2)
+        circuit = new_circuit(("q", 3)) + h(q[0]) + h(q[1]) + h(q[2])
+        amp = complex(1 / math.sqrt(8), 0)
+        case = TestCase(
+            name="uniform",
+            circuit=circuit,
+            backend=Backend.SV,
+            expect_amplitudes=[
+                AmplitudeExpectation(0, amp, 1e-9),
+                AmplitudeExpectation(1, amp, 1e-6),
+                AmplitudeExpectation(3, amp, 1e-6),
+            ],
+        )
+        (res,) = run_suite([case]).results
+        assert res.status == "fail"
+        assert res.message == "unlisted amplitude[2] = 0.353553391+0j exceeds 1e-09"
+
     def test_sv_wrong_amplitude_fails(self):
         case = TestCase(
             name="bell_wrong",

@@ -10,13 +10,15 @@ from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, repeat
 from qforge.logic import (
+    PLANE_SCRATCH,
     BasisState,
     NonLogicGate,
     _ops,
     _translations,
     logic_function,
+    plane_indices,
     run_logic,
-    run_planes,
+    sweep,
 )
 from qforge.statevector import probabilities, run
 
@@ -161,34 +163,48 @@ def test_swap_of_a_qubit_with_itself_changes_nothing():
     assert [logic_function(c)(v) for v in range(4)] == [0, 1, 2, 3]
 
 
-def _all_inputs(n):
-    """Bit planes holding every n-qubit basis state, value v at position v."""
-    values = np.arange(1 << n)
-    return np.array(
-        [np.packbits((values >> q) & 1, bitorder="little") for q in range(n)],
-        dtype=np.uint8,
-    ).reshape(n, -1)
+@st.composite
+def _sweeps(draw):
+    """A circuit, its free qubits in any order, the others' fixed bits and a
+    chunk_bits that splits the values into one or more blocks."""
+    c = draw(_not_family_circuits())
+    n = c.n_qubits
+    free = draw(st.permutations(range(n)))[: draw(st.integers(0, n))]
+    fixed = draw(st.integers(0, (1 << n) - 1))
+    return c, free, fixed, draw(st.integers(0, len(free)))
 
 
 @settings(max_examples=200, deadline=None)
-@given(_not_family_circuits())
-def test_run_planes_matches_logic_function_property(c):
+@given(_sweeps())
+def test_sweep_matches_logic_function_property(case):
+    c, free, fixed, chunk_bits = case
     n = c.n_qubits
-    planes = _all_inputs(n)
-    out = run_planes(c, planes)
-    assert np.array_equal(planes, _all_inputs(n))  # input left alone
-    bits = np.unpackbits(out, axis=1, count=1 << n, bitorder="little")
     f = logic_function(c)
-    for v in range(1 << n):
-        assert sum(int(bits[q, v]) << q for q in range(n)) == f(v)
+    held = fixed & ~sum(1 << q for q in free)
+    blocks = []
+    for block, planes in sweep(_ops(c), n, fixed, free, chunk_bits):
+        assert len(planes) == n
+        size = block.stop - block.start
+        index = plane_indices(planes, size)
+        bits = np.unpackbits(planes, axis=1, bitorder="little")
+        # with fewer than 8 values, the spare positions repeat them
+        for i in range(bits.shape[1]):
+            v = block.start + i % size
+            want = f(held | sum((v >> b & 1) << q for b, q in enumerate(free)))
+            assert sum(int(bits[q, i]) << q for q in range(n)) == want
+            if i < size:
+                assert index[i] == want
+        blocks.append(block)
+    assert [b.start for b in blocks] == [0] + [b.stop for b in blocks[:-1]]
+    assert blocks[-1].stop == 1 << len(free)
+    assert len(blocks) == 1 << (len(free) - chunk_bits)
 
 
-def test_run_planes_checks_before_evaluating():
-    c = Circuit((), 2, (Gate(GateKind.X, (Index(0),)), Gate(GateKind.H, (Index(1),))))
-    with pytest.raises(NonLogicGate, match="gate 1"):
-        run_planes(c, _all_inputs(2))
-    with pytest.raises(ValueError, match="3 rows"):
-        run_planes(c, _all_inputs(3))
+def test_sweep_holds_at_most_the_plane_scratch_at_the_widest_circuit():
+    n = 65_536
+    block, planes = next(sweep((), n, 0, list(range(16)), 16))
+    assert planes.nbytes <= PLANE_SCRATCH
+    assert planes.shape == (n, 64) and block == slice(0, 512)
 
 
 def test_translation_is_kept_while_its_circuit_lives():

@@ -1,14 +1,17 @@
 """Qubit reduction: constant propagation, extraction, resynthesis."""
 import json
 import random
+import tracemalloc
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge.ir import Circuit, Control, Gate, GateKind, Index
+from qforge import logic
 from qforge.library import AdderLayout, increment_kernel, mod_add
 from qforge.logic import logic_function
 from qforge.passes import resolve_names
@@ -306,6 +309,52 @@ def test_extraction_matches_per_value_sweep(case):
     assert got == (perm, constants)
     assert all(type(v) is int for v in got[0] + list(got[1].values()))
     assert not caught
+
+
+@settings(max_examples=100, deadline=None)
+@given(_extraction_cases())
+def test_extraction_in_blocks_of_a_few_values_matches_per_value_sweep(case):
+    # one-byte planes: the table and the constancy check span many blocks
+    c, assignments = case
+    perm, constants, first = per_value_sweep(c, assignments)
+    spec = Specialization(assignments)
+    with mock.patch.object(logic, "PLANE_SCRATCH", 8):
+        if first is not None:
+            with pytest.raises(EntangledSpecialization, match=rf"at value {first}\)$"):
+                extract_permutation(c, spec)
+            return
+        assert extract_permutation(c, spec) == (perm, constants)
+
+
+def _scratch_triples(n, m, count, rng):
+    """count Toffoli compute/use/uncompute triples: a qubit at or above m
+    takes the AND of two of the free qubits 0..m-1, flips a third and is
+    cleared again."""
+    gates = []
+    for _ in range(count):
+        a, b, t = rng.sample(range(m), 3)
+        s = rng.randrange(m, n)
+        toffoli = Gate(GateKind.X, (Index(s),), (Control(Index(a)), Control(Index(b))))
+        gates += [toffoli, cx(s, t), toffoli]
+    return Circuit((), n, tuple(gates))
+
+
+def test_extraction_planes_stay_bounded_at_2048_qubits():
+    n, m = 2048, 14
+    c = _scratch_triples(n, m, 200, random.Random(67))
+    spec = Specialization({q: 0 for q in range(m, n)})
+    tracemalloc.start()
+    try:
+        perm, constants = extract_permutation(c, spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 << 20  # unpacking every row took about 70 MiB
+    assert sorted(perm) == list(range(1 << m))
+    assert set(constants.values()) == {0}
+    f = logic_function(c)
+    for v in random.Random(71).sample(range(1 << m), 16):
+        assert perm[v] == f(v)
 
 
 @settings(max_examples=100, deadline=None)
