@@ -26,11 +26,12 @@ from .ir import (
     decode_registers,
     encode_registers,
     register_bases,
+    shown,
 )
 from .logic import BasisState, run_logic
 from .passes import PassConfig, _resolver, checked, compile_circuit, verify
 from .qp import emit_qp, parse_qp, to_circuit
-from .reduction import generate_kernels, kernel_file_name, write_kernels
+from .reduction import generate_kernels, output_names, write_kernels
 from .source import parse_source
 from .statevector import probabilities, run
 
@@ -57,10 +58,12 @@ def _number(digits: str) -> int:
     return int(digits)
 
 
-def _quoted(token: str) -> str:
-    """A qubit token for a message: one of more than 64 characters is
-    named by its length, not repeated."""
-    return repr(token) if len(token) <= 64 else f"token of {len(token)} characters"
+def _int_flag(text: str) -> int:
+    """``parse_int`` for argparse, which would echo the whole value."""
+    try:
+        return parse_int(text)
+    except InputError:
+        raise argparse.ArgumentTypeError(f"invalid parse_int value: {shown(text)}") from None
 
 
 def _parse_qubit_token(token: str, circuit: Circuit) -> int:
@@ -71,11 +74,11 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         label, _, rest = token.partition("[")
         offset = rest[:-1].strip()
         if not (offset.isascii() and offset.isdigit()):
-            raise InputError(f"cannot resolve qubit {_quoted(token)}")
+            raise InputError(f"cannot resolve qubit {shown(token)}")
         ref = Named(label, _number(offset))
     elif token in bases:
         if bases[token][1] != 1:
-            raise InputError(f"{_quoted(token)} is a register, not a single qubit")
+            raise InputError(f"{shown(token)} is a register, not a single qubit")
         ref = Named(token, 0)
     else:
         head = token.rstrip("0123456789")
@@ -84,12 +87,12 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
         elif token.isascii() and token.isdigit():
             ref = Index(_number(token))
         else:
-            raise InputError(f"cannot resolve qubit {_quoted(token)}")
+            raise InputError(f"cannot resolve qubit {shown(token)}")
     index = _resolver(circuit)(ref)
     if isinstance(index, str):
-        # the resolver's reason quotes the label, part of the token
-        reason = f": {index}" if len(token) <= 64 else ""
-        raise InputError(f"cannot resolve qubit {_quoted(token)}{reason}")
+        # the reason names the label again: only a token shown whole gets it
+        reason = f": {index}" if shown(token) == repr(token) else ""
+        raise InputError(f"cannot resolve qubit {shown(token)}{reason}")
     return index
 
 
@@ -151,14 +154,12 @@ def _cmd_reduce(args) -> int:
     qubit_indices = [
         _parse_qubit_token(tok, circuit) for tok in args.qubits.split(",") if tok
     ]
-    values = []
-    for value in args.values.split(","):
-        value = value.strip()
+    values = [value.strip() for value in args.values.split(",")]
+    for value in values:
         if not all(ch in "01" for ch in value):
-            raise InputError(f"value {value!r} must be a bit string")
-        kernel_file_name(Path(args.file).stem, value)  # refuses an overlong name
-        values.append([int(ch) for ch in value])
-    report = generate_kernels(circuit, qubit_indices, values)
+            raise InputError(f"value {shown(value)} must be a bit string")
+    output_names(Path(args.file).stem, values)  # checked before any work
+    report = generate_kernels(circuit, qubit_indices, [list(map(int, v)) for v in values])
     manifest = write_kernels(report, Path(args.file).stem, args.output)
     for entry in manifest["kernels"]:
         if "file" in entry:
@@ -190,14 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compile", help="lower a circuit and write a .qp file")
     p.add_argument("file")
     p.add_argument("-o", "--output", required=True)
-    p.add_argument("--max-controls", type=parse_int, default=2)
+    p.add_argument("--max-controls", type=_int_flag, default=2)
     p.set_defaults(func=_cmd_compile)
 
     p = sub.add_parser("sim", help="simulate a .fqt or .qp circuit")
     p.add_argument("file")
     p.add_argument("--backend", choices=("logic", "sv"), default="sv")
     p.add_argument("--prep", default="", help="register assignments a=3,b=5 or an int")
-    p.add_argument("--top", type=parse_int, default=8, help="amplitudes to print (sv)")
+    p.add_argument("--top", type=_int_flag, default=8, help="amplitudes to print (sv)")
     p.set_defaults(func=_cmd_sim)
 
     p = sub.add_parser("reduce", help="specialize qubits into kernel circuits")

@@ -18,7 +18,8 @@ Suite files (``.qtest``) are line oriented::
 
 Register values are ASCII integer literals: decimal, or 0x / 0b / 0o
 prefixed. An amplitude index is ASCII decimal, its real and imaginary
-parts are finite, and its tolerance is finite and at least 0.
+parts are finite, and its tolerance is finite and at least 0. Errors
+name a word of the suite, a prep or an expectation by ``ir.shown``.
 
 A backend mismatch (e.g. a Hadamard under the logic backend) reports
 the case as an error, not a failure.
@@ -34,7 +35,7 @@ from pathlib import Path
 import numpy as np
 
 from .ir import Circuit, InputError, QforgeError, check_basis, decode_registers, encode_registers
-from .ir import map_shared
+from .ir import map_shared, shown
 from .logic import BasisState, run_logic
 from .passes import PassConfig, checked, lower
 from .source import ParseError, parse_source
@@ -133,7 +134,7 @@ def _run_case(case: TestCase, circuit: Circuit | QforgeError) -> CaseResult:
         decoded = decode_registers(case.circuit, out.bits)
         unknown = [label for label in case.expect_registers if label not in decoded]
         if unknown:
-            message = f"expect names unknown register {unknown[0]!r}"
+            message = f"expect names unknown register {shown(unknown[0])}"
             return CaseResult(case.name, "error", message)
         mismatches = [
             f"expected {label}={want}, actual {label}={decoded.get(label)}"
@@ -184,7 +185,7 @@ _INT = re.compile(r"0+|[1-9][0-9]*|0[xX][0-9A-Fa-f]+|0[bB][01]+|0[oO][0-7]+")
 def parse_int(text: str) -> int:
     """An ASCII integer literal: decimal, or 0x / 0b / 0o prefixed."""
     if not _INT.fullmatch(text):
-        raise InputError(f"bad integer {text!r}")
+        raise InputError(f"bad integer {shown(text)}")
     try:
         return int(text, 0)
     except ValueError:  # a decimal of over 4,300 digits
@@ -199,13 +200,13 @@ def parse_assignments(text: str) -> dict[str, int]:
             continue
         name, eq, value = part.partition("=")
         if not eq or not name:
-            raise InputError(f"bad entry {part!r}")
+            raise InputError(f"bad entry {shown(part)}")
         if name in out:
-            raise InputError(f"register {name!r} assigned twice")
+            raise InputError(f"register {shown(name)} assigned twice")
         try:
             out[name] = parse_int(value)
         except InputError:
-            raise InputError(f"bad integer in entry {part!r}") from None
+            raise InputError(f"bad integer in entry {shown(part)}") from None
     return out
 
 
@@ -257,7 +258,7 @@ def parse_suite(path: str | Path) -> list[TestCase]:
             for i in range(2, len(words), 2):
                 key = words[i]
                 if key not in ("prep", "expect") or i + 1 == len(words):
-                    raise SuiteError(f"unexpected token {key!r}", lineno)
+                    raise SuiteError(f"unexpected token {shown(key)}", lineno)
                 if key in given:
                     raise SuiteError(f"{key} given twice", lineno)
                 try:
@@ -293,5 +294,5 @@ def parse_suite(path: str | Path) -> list[TestCase]:
                 AmplitudeExpectation(index, complex(real, imag), tol)
             )
         else:
-            raise SuiteError(f"unknown keyword {keyword!r}", lineno)
+            raise SuiteError(f"unknown keyword {shown(keyword)}", lineno)
     return cases

@@ -11,6 +11,9 @@ pointers: they are only turned into indices by the name-resolution
 pass, which lets subcircuits be written independently of their final
 placement. Anonymous (index-only) qubits and named registers may
 coexist in one circuit.
+
+Every message names text from a flag or an input file through
+``shown``: quoted up to 64 characters, beyond that by its length.
 """
 from __future__ import annotations
 
@@ -34,6 +37,11 @@ class BasisOutOfRange(InputError):
     """A basis value does not fit the qubits it is meant for."""
 
 
+def shown(text: str, quote: Callable[[str], str] = repr) -> str:
+    """User text for a message; ``quote=str`` gives a qubit name bare."""
+    return quote(text) if len(text) <= 64 else f"token of {len(text)} characters"
+
+
 # Most qubits a parsed circuit or QP program may declare, and one more
 # than the most controls a QP record may carry: every basis value, bit
 # string and index map a command builds stays under 64 Ki entries.
@@ -49,9 +57,9 @@ class ConflictingRegister(CircuitError):
 
     def __init__(self, label: str, size_a: int, size_b: int):
         if size_a == size_b:
-            message = f"register {label!r} declared twice"
+            message = f"register {shown(label)} declared twice"
         else:
-            message = f"register {label!r} declared with sizes {size_a} and {size_b}"
+            message = f"register {shown(label)} declared with sizes {size_a} and {size_b}"
         super().__init__(message)
         self.label = label
 
@@ -176,7 +184,7 @@ class Circuit:
             if label in seen:
                 raise ConflictingRegister(label, size, size)
             if size < 1:
-                raise ValueError(f"register {label!r} must have positive size")
+                raise ValueError(f"register {shown(label)} must have positive size")
             seen.add(label)
             span += size
         if self.n_qubits < span:
@@ -209,9 +217,9 @@ def encode_registers(c: Circuit, values: dict[str, int]) -> int:
     for label, value in values.items():
         entry = bases.get(label)
         if entry is None:
-            raise InputError(f"prep names unknown register {label!r}")
+            raise InputError(f"prep names unknown register {shown(label)}")
         base, size = entry
-        bits |= check_basis(value, size, f"register {label!r} value") << base
+        bits |= check_basis(value, size, f"register {shown(label)} value") << base
     return bits
 
 
@@ -219,8 +227,8 @@ def check_basis(value: int, width: int, what: str = "basis value") -> int:
     """The value, if it is a width-qubit basis value; never builds 2**width."""
     if value < 0 or value.bit_length() > width:
         # str() of an int of thousands of digits raises ValueError
-        shown = value if value.bit_length() <= 64 else f"of {value.bit_length()} bits"
-        raise BasisOutOfRange(f"{what} {shown} does not fit {width} qubits")
+        number = value if value.bit_length() <= 64 else f"of {value.bit_length()} bits"
+        raise BasisOutOfRange(f"{what} {number} does not fit {width} qubits")
     return value
 
 

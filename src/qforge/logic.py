@@ -21,7 +21,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -74,28 +74,18 @@ def run_logic(c: Circuit, state: BasisState) -> BasisState:
     return BasisState(c.n_qubits, logic_function(c)(state.bits))
 
 
-# (weak reference to the circuit, its ops) by id(circuit); an entry
-# goes when its circuit is collected, so a reused id never hits
-_translations: dict[int, tuple[weakref.ref, Ops]] = {}
-
-
-def _ops(c: Circuit) -> Ops:
-    """Every gate of a NOT-family circuit as ``(mask, want, flip)`` ops.
+def translate(gates: Sequence[Gate], n: int) -> Ops:
+    """A NOT-family gate list on n qubits as ``(mask, want, flip)`` ops.
 
     ``flip`` applies when ``bits & mask == want``. A SWAP(p, q) becomes
     CX(p->q), CX(q->p), CX(p->q), each carrying the swap's controls, and
     SWAP(p, p) becomes nothing. Gates are taken as ``verify`` accepts
     them: a target reused as a control or a contradictory control pair
-    has no defined meaning. The translation is built once per circuit
-    object and kept while the circuit lives, and within it once per
-    distinct gate object (gates shared via ``repeat``, the parser or
-    ``qp.to_circuit``), so million-gate circuits stay cheap. Raises
-    NonLogicGate at the first gate outside the NOT family.
+    has no defined meaning. Each distinct gate object (gates shared via
+    ``repeat``, the parser or ``qp.to_circuit``) is translated once, so
+    million-gate lists stay cheap. Raises NonLogicGate at the first gate
+    outside the NOT family.
     """
-    entry = _translations.get(id(c))
-    if entry is not None and entry[0]() is c:
-        return entry[1]
-    n = c.n_qubits
     x, swap = GateKind.X, GateKind.SWAP  # enum attribute lookups are slow
 
     def gate_ops(gi: int, g: Gate) -> Ops:
@@ -115,7 +105,20 @@ def _ops(c: Circuit) -> Ops:
         pq = (mask | p, want | p, q)
         return (pq, (mask | q, want | q, p), pq) if p != q else ()
 
-    ops = tuple(chain.from_iterable(map_shared(gate_ops, c.gates)))
+    return tuple(chain.from_iterable(map_shared(gate_ops, gates)))
+
+
+# (weak reference to the circuit, its ops) by id(circuit); an entry
+# goes when its circuit is collected, so a reused id never hits
+_translations: dict[int, tuple[weakref.ref, Ops]] = {}
+
+
+def _ops(c: Circuit) -> Ops:
+    """``translate`` of c's gates, built once and kept while c lives."""
+    entry = _translations.get(id(c))
+    if entry is not None and entry[0]() is c:
+        return entry[1]
+    ops = translate(c.gates, c.n_qubits)
     key = id(c)
     _translations[key] = (weakref.ref(c, lambda _: _translations.pop(key, None)), ops)
     return ops
@@ -124,7 +127,7 @@ def _ops(c: Circuit) -> Ops:
 def logic_function(c: Circuit) -> Callable[[int], int]:
     """Compile a NOT-family circuit into a plain bits -> bits function.
 
-    The gates run as ``_ops`` translates them, once per circuit object.
+    The gates run as ``translate`` reads them, once per circuit object.
     Useful on its own when the same circuit is evaluated on a few
     inputs; ``sweep`` evaluates it on many at once.
     """
@@ -140,7 +143,7 @@ def logic_function(c: Circuit) -> Callable[[int], int]:
 
 
 def run_ops(ops: Ops, rows: list[np.ndarray]) -> None:
-    """Run ``_ops`` output in place over bit planes, one row per qubit.
+    """Run ``translate`` output in place over bit planes, one row per qubit.
 
     Each op ANDs its control rows (negated for negative controls) into
     a fire mask and XORs that into the target row: a few numpy calls.

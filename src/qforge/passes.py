@@ -31,6 +31,7 @@ from .ir import (
     QubitRef,
     map_shared,
     register_bases,
+    shown,
 )
 from .qp import QPProgram, from_circuit
 
@@ -77,13 +78,11 @@ def _resolver(c: Circuit):
             return f"qubit index {ref.index} out of range ({c.n_qubits} qubits)"
         entry = bases.get(ref.label)
         if entry is None:
-            return f"undeclared register {ref.label!r}"
+            return f"undeclared register {shown(ref.label)}"
         base, size = entry
         if not 0 <= ref.offset < size:
-            return (
-                f"qubit {ref.label}[{ref.offset}] out of range "
-                f"(register has {size} qubits)"
-            )
+            name = shown(f"{ref.label}[{ref.offset}]", str)
+            return f"qubit {name} out of range (register has {size} qubits)"
         return base + ref.offset
 
     return resolve

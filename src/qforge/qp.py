@@ -4,10 +4,11 @@ A program is a plain list of decimal integers: a three-value header
 ``n_qubits n_gates max_controls`` followed by one fixed-width record
 per gate, ``opcode target c1 .. cM`` with -1 marking unused control
 slots. Every token is ASCII ``-?[0-9]+``, and any amount of ASCII
-whitespace separates tokens. There are no strings and no floats, so
-the file is trivially diffable and trivially consumed by a hardware
-host. ``n_qubits`` is at most ``ir.MAX_QUBITS`` (65,536) and
-``max_controls`` at most one less.
+whitespace separates tokens; an error names one, or an integer it
+refuses, by ``ir.shown`` (by its length when over 64 characters).
+There are no strings and no floats, so the file is trivially diffable
+and trivially consumed by a hardware host. ``n_qubits`` is at most
+``ir.MAX_QUBITS`` (65,536) and ``max_controls`` at most one less.
 
 Opcodes: 1=x 2=y 3=z 4=h 5=s 6=sdg 7=t 8=tdg. SWAP has no opcode on
 purpose; it must be lowered before a program can be emitted.
@@ -22,7 +23,7 @@ import re
 from dataclasses import dataclass
 from functools import cache
 
-from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, QforgeError, map_shared
+from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Index, QforgeError, map_shared, shown
 
 OPCODES: dict[GateKind, int] = {
     GateKind.X: 1,
@@ -64,7 +65,7 @@ class InvariantViolation(QPFormatError):
 
 class BadOpcode(InvariantViolation):
     def __init__(self, value: int, gate_index: int | None = None):
-        super().__init__(f"bad opcode {value}", gate_index)
+        super().__init__(f"bad opcode {_num(value)}", gate_index)
         self.value = value
 
 
@@ -99,10 +100,10 @@ class QPProgram:
 
 def _check_header(n_qubits: int, max_controls: int) -> None:
     if not 1 <= n_qubits <= MAX_QUBITS:
-        raise BadIndex(f"n_qubits must be 1 to {MAX_QUBITS}, got {n_qubits}", n_qubits)
+        raise BadIndex(f"n_qubits must be 1 to {MAX_QUBITS}, got {_num(n_qubits)}", n_qubits)
     if not 2 <= max_controls < MAX_QUBITS:
         raise InvariantViolation(
-            f"max_controls must be 2 to {MAX_QUBITS - 1}, got {max_controls}"
+            f"max_controls must be 2 to {MAX_QUBITS - 1}, got {_num(max_controls)}"
         )
 
 
@@ -110,7 +111,7 @@ def _check_gate(g: QPGate, gi: int, n_qubits: int, max_controls: int) -> None:
     if g.opcode not in KINDS_BY_OPCODE:
         raise BadOpcode(g.opcode, gi)
     if not 0 <= g.target < n_qubits:
-        raise BadIndex(f"target {g.target} out of range", g.target, gi)
+        raise BadIndex(f"target {_num(g.target)} out of range", g.target, gi)
     if len(g.controls) != max_controls:
         raise InvariantViolation(
             f"expected {max_controls} control slots, got {len(g.controls)}", gi
@@ -124,7 +125,7 @@ def _check_gate(g: QPGate, gi: int, n_qubits: int, max_controls: int) -> None:
         if unused:
             raise BadIndex("control after a -1 slot", v, gi)
         if not 0 <= v < n_qubits:
-            raise BadIndex(f"control {v} out of range", v, gi)
+            raise BadIndex(f"control {_num(v)} out of range", v, gi)
         if v == g.target:
             raise BadIndex(f"control {v} equals target", v, gi)
         if v in seen:
@@ -157,12 +158,17 @@ def emit_qp(p: QPProgram) -> str:
     return "  ".join([header, *map_shared(record, p.gates)])
 
 
+def _num(value: int) -> str:
+    """An integer read from QP text, named as ``ir.shown`` names text."""
+    return shown(str(value), str)
+
+
 def _int(tok: str) -> int:
     try:
         return int(tok)
     except ValueError:
         if not tok.removeprefix("-").isdigit():
-            raise NonIntegerToken(f"not an integer: {tok!r}") from None
+            raise NonIntegerToken(f"not an integer: {shown(tok)}") from None
         # int() refuses an integer of thousands of digits; not echoed
         raise QPFormatError(f"integer of {len(tok)} characters is too long") from None
 
@@ -171,7 +177,7 @@ def parse_qp(text: str) -> QPProgram:
     """Inverse of emit_qp on its image; QPProgram checks the records."""
     if not _QP_CHARS.fullmatch(text):
         bad = next(t for t in _QP_TOKEN.findall(text) if not _QP_CHARS.fullmatch(t))
-        raise NonIntegerToken(f"not an integer: {bad!r}")
+        raise NonIntegerToken(f"not an integer: {shown(bad)}")
     tokens = text.split()  # only ASCII whitespace is left to split at
     try:
         values = list(map(int, tokens))
@@ -182,11 +188,13 @@ def parse_qp(text: str) -> QPProgram:
     n_qubits, n_gates, max_controls = values[0], values[1], values[2]
     _check_header(n_qubits, max_controls)
     if n_gates < 0:
-        raise QPFormatError(f"negative gate count {n_gates}")
+        raise QPFormatError(f"negative gate count {_num(n_gates)}")
     width = 2 + max_controls
     expected = 3 + n_gates * width
     if len(values) < expected:
-        raise Truncated(f"expected {expected} integers, got {len(values)}")
+        # a gate count named by its length stands for the count it implies
+        count = shown(str(n_gates), lambda _: str(expected))
+        raise Truncated(f"expected {count} integers, got {len(values)}")
     if len(values) > expected:
         raise QPFormatError(f"{len(values) - expected} trailing token(s)")
     # one QPGate per distinct record, shared by its repeats

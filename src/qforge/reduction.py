@@ -46,7 +46,7 @@ from .source import print_source
 # most free qubits the semantic path sweeps; it bounds the memory of the
 # 2**m-entry table and its synthesis, not time (planes: logic.PLANE_SCRATCH)
 SEMANTIC_MAX_FREE = 20
-NAME_MAX = 255  # longest file name, in bytes, a kernel may have
+NAME_MAX = 255  # longest file name, in bytes, reduce may write
 
 
 class ReductionError(QforgeError):
@@ -363,14 +363,19 @@ def generate_kernels(
     return ReductionReport(tuple(outcomes))
 
 
-def kernel_file_name(base_name: str, value: str) -> str:
-    """``<base>.k<value>.fqt``; InputError if that is over NAME_MAX bytes."""
-    name = f"{base_name}.k{value}.fqt"
-    size = len(os.fsencode(name))
-    if size > NAME_MAX:
-        raise InputError(f"a value of {len(value)} bits names a kernel file of "
-                         f"{size} bytes; at most {NAME_MAX} fit")
-    return name
+def output_names(base_name: str, values: Sequence[str]) -> tuple[str, list[str]]:
+    """Every file name reduce writes: ``<base>.manifest.json`` and each
+    ``<base>.k<value>.fqt``. One over NAME_MAX bytes is an InputError
+    that gives lengths, not the name."""
+    stem = len(os.fsencode(base_name))
+    named = [(f"{base_name}.manifest.json", f"a file stem of {stem} bytes names a manifest")]
+    for v in values:
+        named.append((f"{base_name}.k{v}.fqt", f"a value of {len(v)} bits names a kernel file"))
+    for name, what in named:
+        size = len(os.fsencode(name))
+        if size > NAME_MAX:
+            raise InputError(f"{what} of {size} bytes; at most {NAME_MAX} fit")
+    return named[0][0], [name for name, _ in named[1:]]
 
 
 def write_kernels(
@@ -381,16 +386,16 @@ def write_kernels(
     Returns the manifest, which lists value, file, method and the
     specialization bookkeeping for every outcome (including failures).
     """
+    values = ["".join(map(str, outcome.value)) for outcome in report.outcomes]
+    manifest_name, file_names = output_names(base_name, values)  # before any write
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest: dict = {"source": base_name, "kernels": []}
-    for outcome in report.outcomes:
-        value_str = "".join(str(b) for b in outcome.value)
+    for outcome, value_str, file_name in zip(report.outcomes, values, file_names):
         entry: dict = {"value": value_str}
         if outcome.kernel is None:
             entry["error"] = outcome.error
         else:
-            file_name = kernel_file_name(base_name, value_str)
             atomic_write_text(directory / file_name, print_source(outcome.kernel.circuit))
             entry["file"] = file_name
             entry["method"] = outcome.kernel.specialization.method
@@ -401,8 +406,5 @@ def write_kernels(
                 str(old): new for old, new in sorted(outcome.kernel.index_map.items())
             }
         manifest["kernels"].append(entry)
-    atomic_write_text(
-        directory / f"{base_name}.manifest.json",
-        json.dumps(manifest, indent=2) + "\n",
-    )
+    atomic_write_text(directory / manifest_name, json.dumps(manifest, indent=2) + "\n")
     return manifest

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import re
 
-from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef
+from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef, shown
 
 _GATES = {k.value: k for k in GateKind}
 
@@ -44,13 +44,13 @@ class ParseError(QforgeError):
 
 class UnknownGate(ParseError):
     def __init__(self, name: str, line: int, col: int):
-        super().__init__(f"unknown gate {name!r}", line, col)
+        super().__init__(f"unknown gate {shown(name)}", line, col)
         self.name = name
 
 
 class UndeclaredRegister(ParseError):
     def __init__(self, label: str, line: int, col: int):
-        super().__init__(f"undeclared register {label!r}", line, col)
+        super().__init__(f"undeclared register {shown(label)}", line, col)
         self.label = label
 
 
@@ -65,7 +65,7 @@ def _require(m: re.Match, parts: tuple[str, ...], body: str, lineno: int) -> Non
             at = len(body) - len(body[after:].lstrip())
             if at == len(body):
                 raise ParseError(f"expected {what}", lineno, after + 1)
-            raise ParseError(f"expected {what}, got {body[at]!r}", lineno, at + 1)
+            raise ParseError(f"expected {what}, got {shown(body[at])}", lineno, at + 1)
         after = m.end(group)
 
 
@@ -104,7 +104,7 @@ def parse_source(text: str) -> Circuit:
             m = _QREG.match(body, pos)
             if m[1] in registers:
                 raise ParseError(
-                    f"register {m[1]!r} already declared", lineno, m.start(1) + 1
+                    f"register {shown(m[1])} already declared", lineno, m.start(1) + 1
                 )
             _require(m, _QREG_PARTS, body, lineno)
             registers[m[1]] = _number(m, 2, MAX_QUBITS - total, "size", lineno)
@@ -148,7 +148,7 @@ def print_source(c: Circuit) -> str:
     def fmt(ref: QubitRef) -> str:
         if isinstance(ref, Named):
             if ref.label not in labels:
-                raise ValueError(f"cannot print: undeclared register {ref.label!r}")
+                raise ValueError(f"cannot print: undeclared register {shown(ref.label)}")
             return f"{ref.label}[{ref.offset}]"
         if not 0 <= ref.index < len(names):  # no wrap-around for negatives
             raise ValueError(

@@ -43,7 +43,7 @@ import numpy as np
 
 from .ir import BasisOutOfRange  # re-exported
 from .ir import Circuit, Gate, GateKind, InputError, QforgeError, check_basis, index_of
-from .logic import PLANE_SCRATCH, _ops, plane_indices, sweep
+from .logic import PLANE_SCRATCH, plane_indices, sweep, translate
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -210,13 +210,13 @@ def _permute(state: StateVector, gates, p: int) -> None:
     """Apply a run of X/SWAP gates that never targets qubit p at once.
 
     The run maps each p-half of the state to itself. Each op of
-    ``logic._ops`` is an involution, so sweeping a half's output indices
-    through the ops in reverse gives each amplitude's source index, and
-    ``np.take`` gathers the half into one half-size temporary,
-    2**_CHUNK_BITS indices at a time, before it is written back.
+    ``logic.translate`` is an involution, so sweeping a half's output
+    indices through the ops in reverse gives each amplitude's source
+    index; ``np.take`` gathers the half into one half-size temporary,
+    2**_CHUNK_BITS indices at a time, and it is written back.
     """
     n = state.n_qubits
-    inverse = _ops(Circuit((), n, tuple(gates)))[::-1]
+    inverse = translate(gates, n)[::-1]
     qubits = [q for q in range(n) if q != p]  # bit b of an index into a half
     temp = np.empty(1 << (n - 1), dtype=state.amplitudes.dtype)
     tensor = state.amplitudes.reshape((2,) * n)

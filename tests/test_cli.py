@@ -631,3 +631,29 @@ def test_usage_errors_exit_one(capsys):
 
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
+
+
+class TestManifestName:
+    """reduce checks the manifest's name with the kernels', before any work."""
+
+    @staticmethod
+    def _reduce(tmp_path, stem):
+        path = write_circuit(tmp_path, f"{stem}.fqt", "qreg c 1\nqreg t 1\nx t[0] c[0]\n")
+        return main(["reduce", path, "--qubits", "c", "--values", "0", "-o", str(tmp_path / "k")])
+
+    def test_manifest_name_of_255_bytes_is_written(self, tmp_path, capsys):
+        assert self._reduce(tmp_path, "w" * 241) == 0
+        names = sorted(p.name for p in (tmp_path / "k").iterdir())
+        assert names == ["w" * 241 + ".k0.fqt", "w" * 241 + ".manifest.json"]
+
+    def test_longer_manifest_name_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        def never(*args):
+            raise AssertionError("generate_kernels ran")
+
+        monkeypatch.setattr(cli, "generate_kernels", never)
+        assert self._reduce(tmp_path, "w" * 243) == 1
+        err = capsys.readouterr().err
+        assert err == "error: a file stem of 243 bytes names a manifest of 257 bytes; at most 255 fit\n"
+        assert not (tmp_path / "k").exists()

@@ -650,3 +650,9 @@ class TestWriteKernels:
         manifest = write_kernels(report, "bad", tmp_path)
         assert "error" in manifest["kernels"][0]
         assert list(tmp_path.glob("*.fqt")) == []
+
+    def test_overlong_manifest_name_writes_no_file(self, tmp_path):
+        report = generate_kernels(Circuit((), 2, (cx(1, 0),)), [1], [[0]])
+        with pytest.raises(ValueError, match="manifest of 257 bytes"):  # an InputError
+            write_kernels(report, "w" * 243, tmp_path / "k")
+        assert not (tmp_path / "k").exists()
