@@ -23,6 +23,7 @@ from .ir import (
     InputError,
     Named,
     QforgeError,
+    decimal,
     decode_registers,
     encode_registers,
     register_bases,
@@ -130,17 +131,17 @@ def _cmd_sim(args) -> int:
         out = run_logic(circuit, BasisState(circuit.n_qubits, prep))
         if circuit.registers:
             fields = decode_registers(circuit, out.bits).items()
-            print(" ".join(f"{label}={value}" for label, value in fields))
+            print(" ".join(f"{label}={decimal(value)}" for label, value in fields))
         else:
             print(format(out.bits, f"0{circuit.n_qubits}b"))
         return 0
     state = run(circuit, prep)
     probs = probabilities(state)
-    # descending probability, ties by ascending index
-    order = np.argsort(-probs, kind="stable")
-    for rank, i in enumerate(map(int, order[: args.top])):
-        if probs[i] < 1e-12 and rank > 0:
-            break
+    # descending probability, ties by ascending index; only entries of at
+    # least 1e-12 are sorted, else the first maximum alone is printed
+    order = np.flatnonzero(probs >= 1e-12)
+    order = order[np.argsort(-probs[order], kind="stable")] if order.size else [probs.argmax()]
+    for i in map(int, order[: args.top]):
         amp = state.amplitudes[i]
         print(
             f"{i} {format(i, f'0{state.n_qubits}b')} "

@@ -18,8 +18,11 @@ Suite files (``.qtest``) are line oriented::
 
 Register values are ASCII integer literals: decimal, or 0x / 0b / 0o
 prefixed. An amplitude index is ASCII decimal, its real and imaginary
-parts are finite, and its tolerance is finite and at least 0. Errors
-name a word of the suite, a prep or an expectation by ``ir.shown``.
+parts are finite, and its tolerance is finite and at least 0. A
+register value, prep or expectation, must fit its register. Errors
+name a word of the suite, a prep or an expectation by ``ir.shown``,
+and a mismatch names a value by its literal's length (or its decimal
+text's) the same way.
 
 A backend mismatch (e.g. a Hadamard under the logic backend) reports
 the case as an error, not a failure.
@@ -34,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .ir import Circuit, InputError, QforgeError, check_basis, decode_registers, encode_registers
-from .ir import map_shared, shown
+from .ir import Circuit, InputError, QforgeError, check_basis, decimal, decode_registers
+from .ir import encode_registers, map_shared, register_bases, shown
 from .logic import BasisState, run_logic
 from .passes import PassConfig, checked, lower
 from .source import ParseError, parse_source
@@ -75,6 +78,8 @@ class TestCase:
     prep: dict[str, int] = field(default_factory=dict)
     expect_registers: dict[str, int] = field(default_factory=dict)
     expect_amplitudes: list[AmplitudeExpectation] = field(default_factory=list)
+    # the literal each register expectation was written as, for messages
+    expect_literals: dict[str, str] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,10 @@ def _run_case(case: TestCase, circuit: Circuit | QforgeError) -> CaseResult:
     try:
         bits = encode_registers(case.circuit, case.prep)
         if case.backend is Backend.LOGIC:
+            bases = register_bases(case.circuit)
+            for label, want in case.expect_registers.items():
+                if label in bases:  # an unknown label is named below
+                    check_basis(want, bases[label][1], f"register {shown(label)} expectation")
             # lowering may append ancillas; they prep to 0
             out = run_logic(circuit, BasisState(circuit.n_qubits, bits))
         else:
@@ -137,9 +146,10 @@ def _run_case(case: TestCase, circuit: Circuit | QforgeError) -> CaseResult:
             message = f"expect names unknown register {shown(unknown[0])}"
             return CaseResult(case.name, "error", message)
         mismatches = [
-            f"expected {label}={want}, actual {label}={decoded.get(label)}"
+            f"expected {shown(label, str)}={_value(want, case.expect_literals.get(label))}, "
+            f"actual {shown(label, str)}={_value(decoded[label])}"
             for label, want in case.expect_registers.items()
-            if decoded.get(label) != want
+            if decoded[label] != want
         ]
         if mismatches:
             return CaseResult(case.name, "fail", "; ".join(mismatches))
@@ -164,6 +174,14 @@ def _run_case(case: TestCase, circuit: Circuit | QforgeError) -> CaseResult:
         message = f"unlisted amplitude[{i}] = {state.amplitudes[i]:.9g} exceeds {floor:g}"
         return CaseResult(case.name, "fail", message)
     return CaseResult(case.name, "pass")
+
+
+def _value(value: int, literal: str | None = None) -> str:
+    """A register value for a message: whole if the literal it was
+    written as (else its decimal text) is short, else named by the
+    length of that text, as ``shown`` does."""
+    text = decimal(value)
+    return text if len(literal or text) <= 64 else shown(literal or text)
 
 
 def run_suite(cases: list[TestCase], lower: bool = False) -> TestReport:
@@ -255,12 +273,14 @@ def parse_suite(path: str | Path) -> list[TestCase]:
             if len(words) < 2:
                 raise SuiteError("case needs a name", lineno)
             given: dict[str, dict[str, int]] = {}
+            raw: dict[str, str] = {}
             for i in range(2, len(words), 2):
                 key = words[i]
                 if key not in ("prep", "expect") or i + 1 == len(words):
                     raise SuiteError(f"unexpected token {shown(key)}", lineno)
                 if key in given:
                     raise SuiteError(f"{key} given twice", lineno)
+                raw[key] = words[i + 1]
                 try:
                     given[key] = parse_assignments(words[i + 1])
                 except InputError as e:
@@ -268,7 +288,11 @@ def parse_suite(path: str | Path) -> list[TestCase]:
             if "expect" in given and backend is not Backend.LOGIC:
                 raise SuiteError("register expectations need the logic backend", lineno)
             prep, expect = given.get("prep", {}), given.get("expect", {})
-            cases.append(TestCase(words[1], circuit, backend, prep, expect))
+            # parse_assignments has read these entries: each has one '='
+            entries = raw.get("expect", "").split(",")
+            literals = dict(entry.split("=", 1) for entry in entries if entry)
+            cases.append(TestCase(words[1], circuit, backend, prep, expect,
+                                  expect_literals=literals))
         elif keyword == "expect":
             # continuation line: expect amp <index> <re> <im> tol <t>
             if not cases:

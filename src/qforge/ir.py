@@ -42,6 +42,17 @@ def shown(text: str, quote: Callable[[str], str] = repr) -> str:
     return quote(text) if len(text) <= 64 else f"token of {len(text)} characters"
 
 
+def decimal(value: int) -> str:
+    """``str(value)`` for a non-negative int of any size: str() refuses
+    one of over 4,300 digits (the default limit), and a result is
+    printed whole whatever its size."""
+    if value.bit_length() <= 2048:  # at most 617 digits, under any limit
+        return str(value)
+    low = value.bit_length() * 3 // 20  # about half its digits
+    high, rest = divmod(value, 10**low)
+    return decimal(high) + decimal(rest).zfill(low)
+
+
 # Most qubits a parsed circuit or QP program may declare, and one more
 # than the most controls a QP record may carry: every basis value, bit
 # string and index map a command builds stays under 64 Ki entries.

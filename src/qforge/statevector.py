@@ -30,8 +30,38 @@ moving each amplitude once instead of once per gate: below those sizes
 the fixed cost of the step is not repaid. The step runs the gates on
 ``logic``'s bit planes and holds one half-size temporary and at most
 ``logic.PLANE_SCRATCH`` bytes besides; ``init_state`` counts both. It
-only moves amplitudes, so ``run`` is bit-identical to applying every
-gate with ``apply_gate``.
+only moves amplitudes, so it is bit-identical to applying each gate
+with ``apply_gate``.
+
+Every run starts from one basis state, and arithmetic circuits keep the
+state sparse. From SPARSE_MIN_QUBITS qubits on, ``run`` first applies
+gates to the support alone (``_sparse``): the basis indices (int64) of
+the entries the gates have reached, and their amplitudes. X and SWAP
+move indices through ``logic.translate``'s ``(mask, want, flip)`` ops;
+Z, S, SDG, T and TDG scale the entries whose target bit is 1 and whose
+controls hold; Y moves each fired entry to its partner, times its
+phase; H pairs each fired entry with its partner, 0 where absent, and
+runs ``apply_gate``'s ufuncs on the pairs. Before an H that would take
+the support past 2**(n - SPARSE_SHARE_BITS) entries, and before a gate
+``apply_gate`` reads its own way (one naming a qubit twice, or one
+other than X and SWAP naming every qubit), the support is scattered
+into the array ``init_state`` allocated and the dense loop above takes
+the remaining gates; a run that stays sparse scatters at the end. The
+switch depends on n and the support size only, and both constants are
+break-evens measured at 8-20 qubits. A support of 2**(n - 6) entries
+and its temporaries take under a fifth of the half-size temporary
+``init_state`` counts.
+
+Every sparse product is out of place. numpy 2.4 rounds an in-place
+product on a one-element array by another path: for
+v = -(1+1j)/sqrt(2), ``a = np.full(1, v); a *= T`` leaves a real part of
+0, while ``np.full(1, v) * T`` and every longer array leave -2.2e-17.
+``apply_gate`` multiplies a one-element half view in place only for a
+gate naming every qubit, which the sparse phase leaves to it. So every
+real and imaginary part that is not zero equals the dense loop's bit
+for bit, and the states are equal under ``np.array_equal``. A part
+that is exactly zero may differ in sign: the dense loop also multiplies
+the zeros outside the support, and (0+0j) * -1j is 0-0j.
 """
 from __future__ import annotations
 
@@ -61,6 +91,9 @@ _PHASES: dict[GateKind, complex] = {
 FUSE_MIN_GATES = 16
 FUSE_MIN_QUBITS = 12
 _CHUNK_BITS = 16  # _permute handles 2**16 output indices per plane pass
+# break-even of _sparse against the dense loop, measured at 8-20 qubits
+SPARSE_MIN_QUBITS = 12
+SPARSE_SHARE_BITS = 6  # the support stays within 2**(n - 6) entries
 
 
 class StateTooLarge(QforgeError):
@@ -156,11 +189,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def run(c: Circuit, prep: int = 0) -> StateVector:
     """Prepare the given basis state and apply every gate in order.
 
-    Long X/SWAP runs go through ``_permute`` (see the module docstring),
-    every other gate through ``apply_gate``.
+    From SPARSE_MIN_QUBITS qubits on, gates first act on the state's
+    support (``_sparse``). The dense loop takes the rest: long X/SWAP
+    runs go through ``_permute``, every other gate through
+    ``apply_gate`` (see the module docstring).
     """
     state = init_state(c.n_qubits, prep)
     gates = c.gates
+    if c.n_qubits >= SPARSE_MIN_QUBITS:
+        gates = gates[_sparse(state, gates, prep):]
     done = 0
     if c.n_qubits >= FUSE_MIN_QUBITS:
         for start, stop, p in _permutation_runs(gates, c.n_qubits):
@@ -174,15 +211,74 @@ def run(c: Circuit, prep: int = 0) -> StateVector:
     return state
 
 
+def _qubit_bits(gate: Gate, n: int) -> list[int] | None:
+    """One bit per qubit the gate names, targets first, or None if it
+    names a qubit twice: ``apply_gate`` keeps its own reading of that."""
+    bits = [1 << index_of(ref, n) for ref in gate.targets]
+    bits += [1 << index_of(k.qubit, n) for k in gate.controls]
+    return bits if len(set(bits)) == len(bits) else None
+
+
+def _sparse(state: StateVector, gates, prep: int) -> int:
+    """Apply gates to the support of basis state ``prep`` while it holds
+    at most 2**(n - SPARSE_SHARE_BITS) entries, then scatter it into the
+    state; return the number of gates applied.
+
+    The support is the basis indices (int64) and amplitudes of the
+    entries the gates have reached. It stops before a gate naming a
+    qubit twice, a gate other than X and SWAP naming every qubit, and
+    an H that would pass that size.
+    """
+    n = state.n_qubits
+    limit = 1 << (n - SPARSE_SHARE_BITS)
+    idx = np.array([prep], dtype=np.int64)
+    amp = np.ones(1, dtype=complex)
+    for done, g in enumerate(gates):
+        bits = _qubit_bits(g, n)
+        kind = g.kind
+        moves = kind is GateKind.X or kind is GateKind.SWAP
+        if bits is None or len(bits) == n and not moves:
+            break  # apply_gate reads these its own way: see above
+        if moves:
+            for mask, want, flip in translate((g,), n):
+                np.bitwise_xor(idx, flip, out=idx, where=idx & mask == want)
+            continue
+        t, mask, want = bits[0], 0, 0
+        for k, bit in zip(g.controls, bits[len(g.targets):]):
+            mask |= bit
+            want |= bit if k.positive else 0
+        if kind is GateKind.Y:  # each fired entry moves to its partner
+            lo = idx & (mask | t) == want
+            hi = idx & (mask | t) == want | t
+            amp[lo], amp[hi] = np.multiply(amp[lo], 1j), np.multiply(amp[hi], -1j)
+            idx[lo | hi] ^= t
+        elif kind is not GateKind.H:
+            fire = idx & (mask | t) == want | t
+            amp[fire] = np.multiply(amp[fire], _PHASES[kind])
+        else:  # each fired entry pairs with its partner, 0 where absent
+            fire = idx & mask == want
+            keep, fired, up = ~fire, amp[fire], idx[fire] & t != 0
+            pairs, slot = np.unique(idx[fire] & ~t, return_inverse=True)
+            if np.count_nonzero(keep) + 2 * len(pairs) > limit:
+                break
+            lo, hi = np.zeros((2, len(pairs)), dtype=complex)
+            lo[slot[~up]], hi[slot[up]] = fired[~up], fired[up]
+            tmp, hi = np.multiply(lo, _SQ2), np.multiply(hi, _SQ2)
+            idx = np.concatenate((idx[keep], pairs, pairs | t))
+            amp = np.concatenate((amp[keep], np.add(tmp, hi), np.subtract(tmp, hi)))
+    else:
+        done = len(gates)
+    state.amplitudes[prep] = 0
+    state.amplitudes[idx] = amp
+    return done
+
+
 def _permutation_targets(gate: Gate, n: int) -> int:
     """Target bits of an X or SWAP gate on distinct qubits, else 0."""
     if gate.kind is not GateKind.X and gate.kind is not GateKind.SWAP:
         return 0
-    refs = list(gate.targets) + [k.qubit for k in gate.controls]
-    bits = [1 << index_of(ref, n) for ref in refs]
-    if len(set(bits)) < len(bits):
-        return 0  # apply_gate keeps its own reading of a repeated qubit
-    return sum(bits[: len(gate.targets)])
+    bits = _qubit_bits(gate, n)
+    return sum(bits[: len(gate.targets)]) if bits else 0
 
 
 def _permutation_runs(gates, n: int):

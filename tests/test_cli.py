@@ -1,9 +1,11 @@
 """End-to-end CLI behaviour: outputs, exit codes, atomic writes."""
 import json
+import sys
 import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
@@ -11,14 +13,21 @@ from hypothesis import strategies as st
 from qforge import cli
 from qforge.cli import main
 from qforge.harness import SuiteError
-from qforge.ir import CircuitError, InputError, QforgeError
-from qforge.library import fixture_path
+from qforge.ir import CircuitError, InputError, QforgeError, decimal
+from qforge.library import cuccaro_full_add, fixture_path
 from qforge.logic import NonLogicGate, logic_function
 from qforge.passes import CompileError, resolve_names
 from qforge.qp import QPFormatError, parse_qp, to_circuit
 from qforge.reduction import ReductionError
-from qforge.source import ParseError, parse_source
-from qforge.statevector import BasisOutOfRange, StateTooLarge
+from qforge.source import ParseError, parse_source, print_source
+from qforge.statevector import (
+    BasisOutOfRange,
+    StateTooLarge,
+    StateVector,
+    apply_gate,
+    init_state,
+    probabilities,
+)
 
 FULLADD = "cuccaro_fulladd4.fqt"
 MODADD = "cuccaro_modadd4_rearranged.fqt"
@@ -657,3 +666,76 @@ class TestManifestName:
         err = capsys.readouterr().err
         assert err == "error: a file stem of 243 bytes names a manifest of 257 bytes; at most 255 fit\n"
         assert not (tmp_path / "k").exists()
+
+
+# ---- sim on wide registers and sparse states
+
+
+def _dense_gate_loop(circuit, prep):
+    state = init_state(circuit.n_qubits, prep)
+    for gate in circuit.gates:
+        apply_gate(state, gate)
+    return state
+
+
+@pytest.mark.parametrize("hs", [0, 3])
+def test_sv_sim_of_a_twenty_qubit_adder_prints_what_the_gate_loop_gives(
+    tmp_path, monkeypatch, capsys, hs
+):
+    text = print_source(cuccaro_full_add(9))  # 20 qubits, registers declared first
+    head, body = text.split("\nx ", 1)
+    layer = "".join(f"h a[{k}]\n" for k in range(hs))
+    path = write_circuit(tmp_path, "add.fqt", f"{head}\n{layer}x {body}")
+    args = ["sim", path, "--prep", "a=300,b=100", "--top", "10"]
+    assert main(args) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(cli, "run", _dense_gate_loop)
+    assert main(args) == 0
+    assert got == capsys.readouterr().out and len(got.splitlines()) == 1 << hs
+
+
+def _top_by_full_sort(state, top):
+    # the rule sim printed by before: every probability sorted
+    probs = probabilities(state)
+    order = np.argsort(-probs, kind="stable")
+    lines = []
+    for rank, i in enumerate(map(int, order[:top])):
+        if probs[i] < 1e-12 and rank > 0:
+            break
+        amp = state.amplitudes[i]
+        lines.append(f"{i} {format(i, f'0{state.n_qubits}b')} "
+                     f"{amp.real:.10g} {amp.imag:.10g} {probs[i]:.10g}\n")
+    return "".join(lines)
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.sampled_from([0, 1e-7, -1e-6, 0.5, 0.5j, -0.5, 0.25 + 0.25j, 1e-3]),
+                min_size=8, max_size=8),
+       st.integers(1, 10))
+def test_sv_top_amplitudes_match_a_full_sort(tmp_path, monkeypatch, capsys, amps, top):
+    # ties, probabilities under 1e-12 and states with none above it
+    state = StateVector(3, np.array(amps, dtype=complex))
+    monkeypatch.setattr(cli, "run", lambda circuit, prep: state)
+    path = write_circuit(tmp_path, "q.fqt", "qreg q 3\nx q[0]\n")
+    assert main(["sim", path, "--top", str(top)]) == 0
+    assert capsys.readouterr().out == _top_by_full_sort(state, top)
+
+
+def test_logic_sim_prints_a_register_of_thousands_of_digits_whole(tmp_path, capsys):
+    path = write_circuit(tmp_path, "w.fqt", "qreg a 20000\nx a[19999]\n")
+    limit = sys.get_int_max_str_digits()
+    assert main(["sim", path, "--backend", "logic"]) == 0
+    assert sys.get_int_max_str_digits() == limit
+    out = capsys.readouterr().out
+    assert out.startswith("a=") and out.endswith("\n") and len(out) == 6024
+    assert decimal(1 << 19999) == out[2:-1]
+
+
+def test_expectation_of_thousands_of_digits_exits_one(tmp_path, capsys):
+    write_circuit(tmp_path, "q.fqt", "qreg q 400\nx q[0]\n")
+    suite = f"circuit q.fqt\nbackend logic\ncase t prep q=0 expect q=0x{'f' * 5000}\n"
+    path = write_circuit(tmp_path, "w.qtest", suite)
+    assert main(["test", path]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("ERROR t: register 'q' expectation of 20000 bits") and len(out) < 300

@@ -439,3 +439,39 @@ def test_a_circuit_that_fails_to_prepare_fails_each_of_its_cases():
     assert [r.status for r in results] == ["error", "pass", "error"]
     assert results[0].message == results[2].message
     assert results[0].message.startswith("verify: 1 error(s); first: gate 0:")
+
+
+# ---- register expectations checked against their register's width
+
+
+def _wide_suite(tmp_path, case_words: str):
+    (tmp_path / "q.fqt").write_text("qreg q 400\nx q[0]\n")
+    (tmp_path / "s.qtest").write_text(f"circuit q.fqt\nbackend logic\ncase t {case_words}\n")
+    return run_suite(parse_suite(tmp_path / "s.qtest")).results[0]
+
+
+def test_expectation_wider_than_its_register_is_an_error(tmp_path):
+    result = _wide_suite(tmp_path, "prep q=0 expect q=0x" + "f" * 5000)
+    assert result.status == "error"
+    assert result.message == "register 'q' expectation of 20000 bits does not fit 400 qubits"
+
+
+@pytest.mark.parametrize(
+    "literal, shown",
+    [
+        ("2", "2"),
+        ("0x10", "16"),
+        ("0x" + "f" * 62, str((1 << 248) - 1)),  # 64 characters: shown whole
+        ("1" * 100, "token of 100 characters"),
+        ("0b" + "1" * 63, "token of 65 characters"),
+    ],
+)
+def test_mismatch_names_a_long_expectation_by_its_literal(tmp_path, literal, shown):
+    result = _wide_suite(tmp_path, f"prep q=0 expect q={literal}")
+    assert (result.status, result.message) == ("fail", f"expected q={shown}, actual q=1")
+
+
+def test_mismatch_names_a_long_actual_value_by_its_length(tmp_path):
+    result = _wide_suite(tmp_path, f"prep q={(1 << 399) - 2} expect q=0")
+    assert result.status == "fail"
+    assert result.message == "expected q=0, actual q=token of 121 characters"

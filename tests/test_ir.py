@@ -23,6 +23,7 @@ from qforge.ir import (
     cnot,
     check_basis,
     ctrl,
+    decimal,
     encode_registers,
     h,
     interleave,
@@ -272,3 +273,24 @@ class TestBasisRange:
         assert BasisState(10**18, 1).bits == 1
         with pytest.raises(BasisOutOfRange, match="value of 16610 bits does not fit 4"):
             encode_registers(new_circuit(("a", 4)), {"a": 10**5000})
+
+
+def _read_decimal(digits: str) -> int:
+    """The value of ASCII decimal digits, 1,000 at a time: int() refuses
+    more than 4,300 at once."""
+    value = 0
+    for k in range(0, len(digits), 1000):
+        chunk = digits[k:k + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+@pytest.mark.parametrize("bits", [0, 1, 64, 2048, 2049, 4096, 14285, 20000, 65536])
+def test_decimal_writes_an_int_of_any_size(bits):
+    rng = random.Random(bits)
+    for value in ((1 << bits) - 1, 1 << bits, rng.getrandbits(bits + 1), 10 ** (bits // 3)):
+        text = decimal(value)
+        assert text.isascii() and text.isdigit() and (text == "0" or text[0] != "0")
+        assert _read_decimal(text) == value
+        if value.bit_length() <= 4096:
+            assert text == str(value)

@@ -483,3 +483,110 @@ def test_fused_run_allocates_half_the_state_plus_scratch_and_keeps_nothing():
     assert peak - before <= state_bytes // 2 + (4 << 20)
     assert current - before <= 1 << 10
     assert np.array_equal(s.amplitudes, want.amplitudes)
+
+
+# ---- the sparse phase: gates on a basis state's support
+
+
+@st.composite
+def _basis_circuits(draw):
+    n = draw(st.integers(12, 16))
+    # an H layer of 0-10 qubits: the support passes 2**(n - 6) entries, and
+    # the run turns dense, at a different gate for each n and layer
+    layer = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=10))
+    gates = [Gate(GateKind.H, (Index(q),)) for q in layer]
+    others = [k for k in GateKind if k not in (GateKind.X, GateKind.SWAP)]
+    for _ in range(draw(st.integers(1, 3))):
+        rng = random.Random(draw(st.integers(0, 2**32)))
+        gates += random_indexed_circuit(
+            rng, n, draw(st.integers(0, 20)), kinds=[GateKind.X, GateKind.SWAP],
+            p_negative=0.5,
+        ).gates
+        gates += random_indexed_circuit(
+            rng, n, draw(st.integers(0, 8)), kinds=others, p_negative=0.5
+        ).gates
+    prep = draw(st.integers(0, (1 << n) - 1))
+    return Circuit((), n, tuple(gates)), prep
+
+
+@settings(max_examples=100, deadline=None)
+@given(_basis_circuits())
+def test_sparse_runs_equal_the_gate_loop_property(case):
+    c, prep = case
+    want = _gate_loop(c, prep)
+    assert np.array_equal(run(c, prep).amplitudes, want)
+    # a support as large as the state: every gate stays sparse
+    with mock.patch.object(statevector, "SPARSE_SHARE_BITS", 0):
+        assert np.array_equal(run(c, prep).amplitudes, want)
+
+
+def test_sparse_phase_stops_where_the_support_would_pass_its_share():
+    n = 12  # at most 2**6 entries
+    c = Circuit((), n, tuple(Gate(GateKind.H, (Index(q),)) for q in range(8)))
+    assert statevector._sparse(init_state(n, 5), c.gates, 5) == 6
+    assert np.array_equal(run(c, 5).amplitudes, _gate_loop(c, 5))
+
+
+@pytest.mark.parametrize(
+    "odd",
+    [
+        Gate(GateKind.X, (Index(2),), (Control(Index(2), False), Control(Index(5)))),
+        Gate(GateKind.H, (Index(3),), (Control(Index(3)),)),
+        Gate(GateKind.T, (Index(4),), (Control(Index(6)), Control(Index(6), False))),
+        Gate(GateKind.Y, (Index(7),), (Control(Index(7), False),)),
+    ],
+    ids=["x", "h", "t", "y"],
+)
+def test_gates_naming_a_qubit_twice_end_the_sparse_phase(odd):
+    n = 12
+    # verify rejects each; apply_gate gives it a reading of its own
+    head = [Gate(GateKind.H, (Index(q),)) for q in (0, 3, 6)] + _x_cycle(n, 10, range(n - 1))
+    c = Circuit((), n, tuple(head + [odd] + head))
+    for prep in (0, 0xFFF, 0x2C5):
+        assert statevector._sparse(init_state(n, prep), c.gates, prep) == len(head)
+        assert np.array_equal(run(c, prep).amplitudes, _gate_loop(c, prep))
+
+
+def test_swap_of_a_qubit_with_itself_raises_while_sparse():
+    n = 12
+    head = [Gate(GateKind.H, (Index(0),))] + _x_cycle(n, 10, range(n - 1))
+    with pytest.raises(ValueError, match="swap targets are identical"):
+        run(Circuit((), n, tuple(head + [_gate(GateKind.SWAP, [4, 4], [])])))
+
+
+def test_a_gate_naming_every_qubit_is_left_to_apply_gate():
+    # apply_gate multiplies its one-element half view in place, which numpy
+    # rounds its own way: T takes -(1+1j)/sqrt(2) to a real part of 0 in
+    # place, and of -2.2e-17 out of place
+    n = 12
+    everything = _gate(GateKind.T, list(range(n)), [True] * (n - 1))
+    c = Circuit((), n, (_gate(GateKind.Z, [0], []), _gate(GateKind.T, [0], []), everything))
+    prep = (1 << n) - 1
+    assert statevector._sparse(init_state(n, prep), c.gates, prep) == 2
+    got = run(c, prep).amplitudes
+    assert np.array_equal(got, _gate_loop(c, prep)) and got[prep].real == 0
+
+
+def test_a_sparse_run_allocates_no_more_than_init_state_counts():
+    n = 20
+    state_bytes = np.dtype(complex).itemsize << n
+    # an H layer up to the largest support, 2**14 entries, then gates of
+    # every kind on it, the H pairing entries of the support with each other
+    layer = [Gate(GateKind.H, (Index(q),)) for q in range(n - 14, n)]
+    mixed = [_gate(kind, [n - 1 - k, k, n - 2 - k], [True, False])
+             for k, kind in enumerate(GateKind)]
+    c = Circuit((), n, tuple(layer + mixed + _x_cycle(n, 30, range(n - 1))))
+    assert {g.kind for g in mixed} == set(GateKind) and mixed[3].kind is GateKind.H
+    # numpy's first call of each loop may cache a few bytes
+    run(Circuit((), 12, tuple(_gate(g.kind, [1, 2, 3], [True, False]) for g in mixed)), 1)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        s = run(c, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert statevector._sparse(init_state(n, 3), c.gates, 3) == len(c.gates)
+    assert peak - before <= state_bytes + state_bytes // 2
+    assert np.array_equal(s.amplitudes, _gate_loop(c, 3))
