@@ -142,7 +142,7 @@ def _cmd_sim(args) -> int:
     order = np.flatnonzero(probs >= 1e-12)
     order = order[np.argsort(-probs[order], kind="stable")] if order.size else [probs.argmax()]
     for i in map(int, order[: args.top]):
-        amp = state.amplitudes[i]
+        amp = state.amplitudes[i] + 0.0  # -0.0 + 0.0 is 0.0: a zero prints as 0 on every path
         print(
             f"{i} {format(i, f'0{state.n_qubits}b')} "
             f"{amp.real:.10g} {amp.imag:.10g} {probs[i]:.10g}"

@@ -8,7 +8,8 @@ lowers to. Anything else raises NonLogicGate: such circuits need the
 state-vector backend.
 
 Negative controls cost nothing here, so they are honored directly with
-no lowering.
+no lowering. ``read_gate`` is the one reading of an indexed gate, for
+this backend, every state-vector path and the reduction walk.
 
 Many states at once run on bit planes, whose layout only this module
 knows: one uint8 row per qubit, state i's bit at bit i % 8 of byte
@@ -21,7 +22,7 @@ from __future__ import annotations
 import weakref
 from dataclasses import dataclass
 from itertools import chain
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -74,6 +75,45 @@ def run_logic(c: Circuit, state: BasisState) -> BasisState:
     return BasisState(c.n_qubits, logic_function(c)(state.bits))
 
 
+class GateReading(NamedTuple):
+    """A resolved gate on n qubits as qubit numbers and bits (``read_gate``)."""
+
+    targets: tuple[int, ...]
+    controls: tuple[tuple[int, bool], ...]  # (qubit, positive), in order
+    mask: int  # OR of the control bits
+    want: int  # OR of the positive control bits
+    named: int  # OR of every bit the gate names
+    distinct: bool  # no qubit named twice
+
+
+def read_gate(g: Gate, n: int) -> GateReading:
+    """Read a gate's references on n qubits, targets first, raising index_of's
+    ValueError at a bad one; a qubit named twice is left to each caller."""
+    targets, controls, mask, want = [], [], 0, 0
+    for ref in g.targets:
+        targets.append(index_of(ref, n))
+    for k in g.controls:
+        q = index_of(k.qubit, n)
+        controls.append((q, k.positive))
+        mask |= 1 << q
+        if k.positive:
+            want |= 1 << q
+    named = mask | 1 << targets[0] | 1 << targets[-1]  # one target or two
+    distinct = named.bit_count() == len(targets) + len(controls)
+    reading = (tuple(targets), tuple(controls), mask, want, named, distinct)
+    return tuple.__new__(GateReading, reading)  # half the generated __new__'s cost, paid per gate
+
+
+def flip_ops(r: GateReading) -> Ops:
+    """The ops of an X (one target) or SWAP (two) gate: see ``translate``."""
+    mask, want, p = r.mask, r.want, 1 << r.targets[0]
+    if len(r.targets) == 1:
+        return ((mask, want, p),)
+    q = 1 << r.targets[1]
+    pq = (mask | p, want | p, q)
+    return (pq, (mask | q, want | q, p), pq) if p != q else ()
+
+
 def translate(gates: Sequence[Gate], n: int) -> Ops:
     """A NOT-family gate list on n qubits as ``(mask, want, flip)`` ops.
 
@@ -89,21 +129,9 @@ def translate(gates: Sequence[Gate], n: int) -> Ops:
     x, swap = GateKind.X, GateKind.SWAP  # enum attribute lookups are slow
 
     def gate_ops(gi: int, g: Gate) -> Ops:
-        kind = g.kind
-        if kind is not x and kind is not swap:
-            raise NonLogicGate(kind, gi)
-        mask = want = 0
-        for k in g.controls:
-            bit = 1 << index_of(k.qubit, n)
-            mask |= bit
-            if k.positive:
-                want |= bit
-        p = 1 << index_of(g.targets[0], n)
-        if kind is x:
-            return ((mask, want, p),)
-        q = 1 << index_of(g.targets[1], n)
-        pq = (mask | p, want | p, q)
-        return (pq, (mask | q, want | q, p), pq) if p != q else ()
+        if g.kind is not x and g.kind is not swap:
+            raise NonLogicGate(g.kind, gi)
+        return flip_ops(read_gate(g, n))
 
     return tuple(chain.from_iterable(map_shared(gate_ops, gates)))
 

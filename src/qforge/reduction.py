@@ -38,8 +38,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fileio import atomic_write_text
-from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError, index_of
-from .logic import NonLogicGate, _ops, plane_indices, sweep
+from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError
+from .logic import NonLogicGate, _ops, plane_indices, read_gate, sweep
 from .passes import _resolve
 from .source import print_source
 
@@ -124,8 +124,7 @@ class ReductionReport:
 
 def find_control_only_qubits(c: Circuit) -> set[int]:
     """Qubits that never appear as a gate target: ideal specialization picks."""
-    targeted = {index_of(t, c.n_qubits) for g in c.gates for t in g.targets}
-    return set(range(c.n_qubits)) - targeted
+    return set(range(c.n_qubits)) - {t for g in c.gates for t in read_gate(g, c.n_qubits).targets}
 
 
 def _check_assignments(c: Circuit, assignments: Mapping[int, int]) -> None:
@@ -158,15 +157,9 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
     index_map = _free_index_map(n, tracked)
     out: list[Gate] = []
     for gi, g in enumerate(c.gates):
-        keep: list[tuple[int, bool]] = []  # the free controls
-        fires = True  # every specialized control holds
-        for k in g.controls:
-            q = index_of(k.qubit, n)
-            if q in tracked:
-                fires = fires and tracked[q] == k.positive
-            else:
-                keep.append((q, k.positive))
-        targets = [index_of(t, n) for t in g.targets]
+        targets, controls = read_gate(g, n)[:2]
+        keep = [(q, v) for q, v in controls if q not in tracked]
+        fires = all(tracked[q] == v for q, v in controls if q in tracked)
         if any(t in tracked for t in targets):
             if g.kind is not GateKind.X:
                 raise NotReducible(gi, f"{g.kind.value} gate targets a specialized qubit")
@@ -179,9 +172,8 @@ def specialize_syntactic(c: Circuit, spec: Specialization) -> ReducedKernel:
             if fires:
                 tracked[targets[0]] ^= 1
         elif fires:
-            new_targets = tuple(Index(index_map[t]) for t in targets)
-            new_controls = tuple(Control(Index(index_map[q]), v) for q, v in keep)
-            out.append(Gate(g.kind, new_targets, new_controls))
+            out.append(Gate(g.kind, tuple(Index(index_map[t]) for t in targets),
+                            tuple(Control(Index(index_map[q]), v) for q, v in keep)))
     m = n - len(tracked)
     kernel = c if not spec.assignments else _kernel_circuit(m, out)
     return ReducedKernel(

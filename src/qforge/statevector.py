@@ -2,12 +2,13 @@
 
 Keeps all 2**n complex amplitudes and views them as an n-axis tensor of
 shape (2,)*n, qubit q on axis n-1-q (basis indexing is little-endian
-throughout the toolkit: bit i of a basis index holds qubit i). A gate
-never builds an index or mask array. Each control of polarity v fixes
-its axis to slice(v, v+1), so the amplitudes that fail a control are
-not touched and each extra control halves the work. The target axis
-then splits into a |0> half and a |1> half, and the gate's 2x2 matrix
-mixes the two half views in place:
+throughout the toolkit: bit i of a basis index holds qubit i). Every
+path reads a gate through ``logic.read_gate``, and a gate never builds
+an index or mask array. Each control of polarity v fixes its axis to
+slice(v, v+1), so the amplitudes that fail a control are not touched
+and each extra control halves the work. The target axis then splits
+into a |0> half and a |1> half, and the gate's 2x2 matrix mixes the
+two half views in place:
 
 * X swaps the halves through one half-size temporary;
 * Z, S, SDG, T and TDG scale only the |1> half by their phase in
@@ -37,11 +38,11 @@ Every run starts from one basis state, and arithmetic circuits keep the
 state sparse. From SPARSE_MIN_QUBITS qubits on, ``run`` first applies
 gates to the support alone (``_sparse``): the basis indices (int64) of
 the entries the gates have reached, and their amplitudes. X and SWAP
-move indices through ``logic.translate``'s ``(mask, want, flip)`` ops;
-Z, S, SDG, T and TDG scale the entries whose target bit is 1 and whose
-controls hold; Y moves each fired entry to its partner, times its
-phase; H pairs each fired entry with its partner, 0 where absent, and
-runs ``apply_gate``'s ufuncs on the pairs. Before an H that would take
+move indices by their ops (``logic.flip_ops``); Z, S, SDG, T and TDG
+scale the entries whose target bit is 1 and whose controls hold; Y
+moves each fired entry to its partner, times its phase; H pairs each
+fired entry with its partner, 0 where absent, and runs
+``apply_gate``'s ufuncs on the pairs. Before an H that would take
 the support past 2**(n - SPARSE_SHARE_BITS) entries, and before a gate
 ``apply_gate`` reads its own way (one naming a qubit twice, or one
 other than X and SWAP naming every qubit), the support is scattered
@@ -72,8 +73,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ir import BasisOutOfRange  # re-exported
-from .ir import Circuit, Gate, GateKind, InputError, QforgeError, check_basis, index_of
-from .logic import PLANE_SCRATCH, plane_indices, sweep, translate
+from .ir import Circuit, Gate, GateKind, InputError, QforgeError, check_basis
+from .logic import PLANE_SCRATCH, GateReading, flip_ops, plane_indices, read_gate, sweep, translate
 
 _SQ2 = 1.0 / math.sqrt(2.0)
 
@@ -128,20 +129,18 @@ def init_state(n_qubits: int, basis: int = 0) -> StateVector:
     return StateVector(n_qubits, amp)
 
 
-def _views(state: StateVector, gate: Gate, *fixes) -> list[np.ndarray]:
+def _views(state: StateVector, r: GateReading, *fixes) -> list[np.ndarray]:
     """Views of the amplitudes meeting every control, one per fixing."""
     n = state.n_qubits
     sel = [slice(None)] * n
-    for k in gate.controls:
-        v = 1 if k.positive else 0
-        sel[n - 1 - index_of(k.qubit, n)] = slice(v, v + 1)
+    for q, positive in r.controls:
+        sel[n - 1 - q] = slice(1, 2) if positive else slice(0, 1)
     tensor = state.amplitudes.reshape((2,) * n)
     views = []
-    for fix in fixes:
-        part = sel[:]
-        for q, v in fix:  # (qubit, value) pairs
-            part[n - 1 - q] = slice(v, v + 1)
-        views.append(tensor[tuple(part)])
+    for fix in fixes:  # (qubit, value) pairs; every fixing names the same qubits
+        for q, v in fix:
+            sel[n - 1 - q] = slice(v, v + 1)
+        views.append(tensor[tuple(sel)])
     return views
 
 
@@ -161,15 +160,15 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     SWAP exchanges the amplitudes whose two target bits differ; every
     other amplitude is left as it is.
     """
-    n = state.n_qubits
-    t = index_of(gate.targets[0], n)
-    if gate.kind is GateKind.SWAP:
-        q = index_of(gate.targets[1], n)
+    r = read_gate(gate, state.n_qubits)
+    t = r.targets[0]
+    if len(r.targets) == 2:  # a SWAP, the one two-target kind
+        q = r.targets[1]
         if t == q:
             raise ValueError("swap targets are identical")
-        _exchange(*_views(state, gate, [(t, 1), (q, 0)], [(t, 0), (q, 1)]))
+        _exchange(*_views(state, r, [(t, 1), (q, 0)], [(t, 0), (q, 1)]))
         return state
-    lo, hi = _views(state, gate, [(t, 0)], [(t, 1)])
+    lo, hi = _views(state, r, [(t, 0)], [(t, 1)])
     if gate.kind is GateKind.X:
         _exchange(lo, hi)
     elif gate.kind is GateKind.H:
@@ -211,14 +210,6 @@ def run(c: Circuit, prep: int = 0) -> StateVector:
     return state
 
 
-def _qubit_bits(gate: Gate, n: int) -> list[int] | None:
-    """One bit per qubit the gate names, targets first, or None if it
-    names a qubit twice: ``apply_gate`` keeps its own reading of that."""
-    bits = [1 << index_of(ref, n) for ref in gate.targets]
-    bits += [1 << index_of(k.qubit, n) for k in gate.controls]
-    return bits if len(set(bits)) == len(bits) else None
-
-
 def _sparse(state: StateVector, gates, prep: int) -> int:
     """Apply gates to the support of basis state ``prep`` while it holds
     at most 2**(n - SPARSE_SHARE_BITS) entries, then scatter it into the
@@ -230,23 +221,19 @@ def _sparse(state: StateVector, gates, prep: int) -> int:
     an H that would pass that size.
     """
     n = state.n_qubits
-    limit = 1 << (n - SPARSE_SHARE_BITS)
+    everything, limit = (1 << n) - 1, 1 << (n - SPARSE_SHARE_BITS)
     idx = np.array([prep], dtype=np.int64)
     amp = np.ones(1, dtype=complex)
     for done, g in enumerate(gates):
-        bits = _qubit_bits(g, n)
-        kind = g.kind
+        r, kind = read_gate(g, n), g.kind
         moves = kind is GateKind.X or kind is GateKind.SWAP
-        if bits is None or len(bits) == n and not moves:
+        if not r.distinct or r.named == everything and not moves:
             break  # apply_gate reads these its own way: see above
         if moves:
-            for mask, want, flip in translate((g,), n):
+            for mask, want, flip in flip_ops(r):
                 np.bitwise_xor(idx, flip, out=idx, where=idx & mask == want)
             continue
-        t, mask, want = bits[0], 0, 0
-        for k, bit in zip(g.controls, bits[len(g.targets):]):
-            mask |= bit
-            want |= bit if k.positive else 0
+        t, mask, want = 1 << r.targets[0], r.mask, r.want
         if kind is GateKind.Y:  # each fired entry moves to its partner
             lo = idx & (mask | t) == want
             hi = idx & (mask | t) == want | t
@@ -273,14 +260,6 @@ def _sparse(state: StateVector, gates, prep: int) -> int:
     return done
 
 
-def _permutation_targets(gate: Gate, n: int) -> int:
-    """Target bits of an X or SWAP gate on distinct qubits, else 0."""
-    if gate.kind is not GateKind.X and gate.kind is not GateKind.SWAP:
-        return 0
-    bits = _qubit_bits(gate, n)
-    return sum(bits[: len(gate.targets)]) if bits else 0
-
-
 def _permutation_runs(gates, n: int):
     """Yield ``(start, stop, p)`` for each maximal run of X/SWAP gates
     that leaves a qubit untargeted, p the highest such qubit.
@@ -291,7 +270,8 @@ def _permutation_runs(gates, n: int):
     everything = (1 << n) - 1
     start, targeted = 0, 0
     for i, g in enumerate(gates):
-        bits = _permutation_targets(g, n)
+        r = read_gate(g, n) if g.kind is GateKind.X or g.kind is GateKind.SWAP else None
+        bits = r.named ^ r.mask if r is not None and r.distinct else 0  # the target bits
         if bits and targeted | bits != everything:
             targeted |= bits
             continue

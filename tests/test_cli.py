@@ -1,5 +1,6 @@
 """End-to-end CLI behaviour: outputs, exit codes, atomic writes."""
 import json
+import random
 import sys
 import tempfile
 import warnings
@@ -694,6 +695,19 @@ def test_sv_sim_of_a_twenty_qubit_adder_prints_what_the_gate_loop_gives(
     assert got == capsys.readouterr().out and len(got.splitlines()) == 1 << hs
 
 
+def test_sv_sim_prints_an_exact_zero_as_0_whichever_path_ran(tmp_path, monkeypatch, capsys):
+    # at 12 qubits these gates run sparse; the gate loop leaves a real
+    # part of -0.0 where the sparse phase leaves 0.0
+    text = "qreg q 12\nsdg q[2] q[1]\ny q[1] q[2]\nh q[1] q[2]\n"
+    args = ["sim", write_circuit(tmp_path, "z.fqt", text), "--prep", "5"]
+    assert main(args) == 0
+    got = capsys.readouterr().out
+    monkeypatch.setattr(cli, "run", _dense_gate_loop)
+    assert main(args) == 0
+    assert got == capsys.readouterr().out
+    assert got.splitlines()[1] == "7 000000000111 0 -0.7071067812 0.5"
+
+
 def _top_by_full_sort(state, top):
     # the rule sim printed by before: every probability sorted
     probs = probabilities(state)
@@ -739,3 +753,68 @@ def test_expectation_of_thousands_of_digits_exits_one(tmp_path, capsys):
     assert main(["test", path]) == 1
     out = capsys.readouterr().out
     assert out.startswith("ERROR t: register 'q' expectation of 20000 bits") and len(out) < 300
+
+
+def _bases(registers):
+    bases, base = [], 0
+    for _, size in registers:
+        bases.append(base)
+        base += size
+    return bases
+
+
+@st.composite
+def _wide_not_circuits(draw):
+    # verified X/SWAP circuits with mixed-polarity controls; the first
+    # register is wide enough that its value passes 4,300 decimal digits
+    sizes = [draw(st.integers(14_400, 16_000))]
+    sizes += draw(st.lists(st.integers(1, 80), max_size=2))
+    registers = [(f"r{i}", size) for i, size in enumerate(sizes)]
+    operands = [f"{label}[{k}]" for label, size in registers for k in range(size)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gates = []
+    for _ in range(draw(st.integers(0, 40))):
+        swap = rng.random() < 0.3
+        picked = rng.sample(range(len(operands)), (2 if swap else 1) + rng.randrange(4))
+        gates.append((swap, picked, [rng.random() < 0.5 for _ in picked]))
+    prep = {label: rng.getrandbits(size) for label, size in registers}
+    return registers, operands, gates, prep
+
+
+@settings(max_examples=25, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(_wide_not_circuits())
+def test_logic_sim_of_wide_registers_prints_every_value_property(tmp_path, capsys, case):
+    registers, operands, gates, prep = case
+    lines = [f"qreg {label} {size}" for label, size in registers]
+    bits = sum(value << base for value, base in zip(prep.values(), _bases(registers)))
+    for swap, picked, positive in gates:
+        n_targets = 2 if swap else 1
+        controls = list(zip(picked[n_targets:], positive[n_targets:]))
+        lines.append(" ".join(
+            ["swap" if swap else "x"] + [operands[q] for q in picked[:n_targets]]
+            + [("" if v else "!") + operands[q] for q, v in controls]
+        ))
+        if not all((bits >> q & 1) == v for q, v in controls):
+            continue
+        if swap:
+            p, q = picked[:2]
+            if (bits >> p ^ bits >> q) & 1:
+                bits ^= 1 << p | 1 << q
+        else:
+            bits ^= 1 << picked[0]
+    path = write_circuit(tmp_path, "w.fqt", "\n".join(lines) + "\n")
+    assignments = ",".join(f"{label}={hex(value)}" for label, value in prep.items())
+    assert main(["sim", path, "--backend", "logic", "--prep", assignments]) == 0
+    out = capsys.readouterr().out
+    values = {
+        label: bits >> base & ((1 << size) - 1)
+        for (label, size), base in zip(registers, _bases(registers))
+    }
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        want = " ".join(f"{label}={value}" for label, value in values.items()) + "\n"
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert out == want and values["r0"] >= 10**4_300

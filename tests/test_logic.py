@@ -5,10 +5,10 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, repeat
+from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, index_of, repeat
 from qforge.logic import (
     PLANE_SCRATCH,
     BasisState,
@@ -17,6 +17,7 @@ from qforge.logic import (
     _translations,
     logic_function,
     plane_indices,
+    read_gate,
     run_logic,
     sweep,
 )
@@ -226,3 +227,49 @@ def test_new_circuit_after_a_deleted_one_gets_its_own_results():
         assert run_logic(c, BasisState(4, 0)).bits == 1 << (k % 4)
         assert logic_function(c)(0) == 1 << (k % 4)
         del c
+
+
+# ---- the one reading of a gate's references
+
+
+@st.composite
+def _indexed_gates(draw):
+    # any kind, qubits drawn with repeats: SWAP(p, p), a control on a
+    # target and a qubit controlled twice (with either polarity) all occur
+    n = draw(st.integers(1, 70))
+    kind = draw(st.sampled_from(list(GateKind)))
+    qubit = st.integers(0, n - 1)
+    targets = draw(st.lists(qubit, min_size=2, max_size=2)) if kind is GateKind.SWAP else [draw(qubit)]
+    controls = draw(st.lists(st.tuples(qubit, st.booleans()), max_size=6))
+    return n, Gate(
+        kind, tuple(Index(q) for q in targets), tuple(Control(Index(q), v) for q, v in controls)
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_indexed_gates(), st.integers(0, 7), st.sampled_from([0, 5, None]))
+@example((3, Gate(GateKind.SWAP, (Index(1), Index(1)))), 1, 0)
+@example((2, Gate(GateKind.T, (Index(0),), (Control(Index(1)), Control(Index(1), False)))), 2, None)
+def test_read_gate_matches_a_decode_property(case, at, past):
+    n, g = case
+    qubits = [t.index for t in g.targets] + [k.qubit.index for k in g.controls]
+    r = read_gate(g, n)
+    assert r.targets == tuple(t.index for t in g.targets)
+    assert r.controls == tuple((k.qubit.index, k.positive) for k in g.controls)
+    assert r.mask == sum({1 << k.qubit.index for k in g.controls})
+    assert r.want == sum({1 << k.qubit.index for k in g.controls if k.positive})
+    assert r.named == sum({1 << q for q in qubits})
+    assert r.distinct == (len(set(qubits)) == len(qubits))
+    # one bad reference, out of range or unresolved: index_of's error for it
+    at %= len(qubits)
+    bad = Named("a", 0) if past is None else Index(n + past)
+    targets = tuple(bad if i == at else t for i, t in enumerate(g.targets))
+    controls = tuple(
+        Control(bad, k.positive) if len(targets) + i == at else k
+        for i, k in enumerate(g.controls)
+    )
+    with pytest.raises(ValueError) as want:
+        index_of(bad, n)
+    with pytest.raises(ValueError) as got:
+        read_gate(Gate(g.kind, targets, controls), n)
+    assert str(got.value) == str(want.value)

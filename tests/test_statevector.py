@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qforge import statevector
-from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named
+from qforge.ir import Circuit, Control, Gate, GateKind, Index, Named, register_bases
 from qforge.library import cuccaro_full_add, mod_add
 from qforge.passes import resolve_names
 from qforge.statevector import (
@@ -455,6 +455,21 @@ def test_run_is_exact_at_sixteen_qubits():
             if r[1] - r[0] >= statevector.FUSE_MIN_GATES]
     assert [(start, stop) for start, stop, _ in runs] == [(8, 40), (42, 74)]
     assert np.array_equal(run(c, 12345).amplitudes, _gate_loop(c, 12345))
+
+
+def test_a_superposed_adder_leaves_the_sparse_phase_and_fuses_at_sixteen_qubits():
+    adder, _ = resolve_names(cuccaro_full_add(7))  # 16 qubits
+    n, bases = adder.n_qubits, register_bases(adder)
+    hs = tuple(
+        Gate(GateKind.H, (Index(bases[label][0] + k),))
+        for label in ("a", "b") for k in range(bases[label][1])
+    )
+    c = Circuit(adder.registers, n, hs + adder.gates)
+    assert n == 16 and statevector._sparse(init_state(n, 9), c.gates, 9) < len(hs)
+    with mock.patch.object(statevector, "_permute", wraps=statevector._permute) as spy:
+        got = run(c, 9)
+    assert spy.call_count == 2
+    assert np.array_equal(got.amplitudes, _gate_loop(c, 9))
 
 
 def test_fused_run_allocates_half_the_state_plus_scratch_and_keeps_nothing():
