@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 from .harness import parse_assignments, parse_int, parse_suite, run_suite
 from .ir import (
     MAX_QUBITS,
@@ -41,13 +41,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
         self.exit(1, f"error: {message}\n")
-
-
-def _read(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise InputError(f"cannot read {path}: not UTF-8 ({e.reason})") from None
 
 
 def _number(digits: str) -> int:
@@ -98,7 +91,7 @@ def _parse_qubit_token(token: str, circuit: Circuit) -> int:
 
 
 def _cmd_check(args) -> int:
-    circuit = parse_source(_read(args.file))
+    circuit = parse_source(read_text(args.file))
     diags = verify(circuit)
     for d in diags:
         print(f"error: gate {d.gate_index}: {d.message}", file=sys.stderr)
@@ -109,7 +102,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_compile(args) -> int:
-    circuit = parse_source(_read(args.file))
+    circuit = parse_source(read_text(args.file))
     cfg = PassConfig(max_controls=args.max_controls)
     program = compile_circuit(circuit, cfg)
     atomic_write_text(args.output, emit_qp(program))
@@ -120,7 +113,7 @@ def _cmd_compile(args) -> int:
 def _cmd_sim(args) -> int:
     if args.top < 1:
         raise InputError(f"--top must be at least 1, got {args.top}")
-    text = _read(args.file)
+    text = read_text(args.file)
     qp = args.file.endswith(".qp")  # a QPProgram is checked when it is built
     circuit = to_circuit(parse_qp(text)) if qp else checked(parse_source(text))
     if "=" in args.prep:
@@ -151,7 +144,7 @@ def _cmd_sim(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
-    circuit = parse_source(_read(args.file))
+    circuit = parse_source(read_text(args.file))
     qubit_indices = [
         _parse_qubit_token(tok, circuit) for tok in args.qubits.split(",") if tok
     ]

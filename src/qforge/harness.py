@@ -5,7 +5,8 @@ expectations. Logic-backend cases compare decoded register integers
 exactly; state-vector cases compare listed amplitudes within per-entry
 tolerances and require every unlisted amplitude to be negligible.
 
-Suite files (``.qtest``) are line oriented::
+Suite files (``.qtest``) are line oriented; ``parse_suite`` reads them and
+their circuits with ``fileio.read_text`` and ``source.lines``, as ``.fqt``::
 
     circuit adder.fqt
     backend logic
@@ -17,8 +18,9 @@ Suite files (``.qtest``) are line oriented::
     expect amp 3 0.70710678 0 tol 1e-6
 
 Register values are ASCII integer literals: decimal, or 0x / 0b / 0o
-prefixed. An amplitude index is ASCII decimal, its real and imaginary
-parts are finite, and its tolerance is finite and at least 0. A
+prefixed. An amplitude index is ASCII decimal; its real and imaginary
+parts and its tolerance are ASCII floats without '_', the parts
+finite and the tolerance finite and at least 0. A
 register value, prep or expectation, must fit its register. Errors
 name a word of the suite, a prep or an expectation by ``ir.shown``,
 and a mismatch names a value by its literal's length (or its decimal
@@ -37,11 +39,12 @@ from pathlib import Path
 
 import numpy as np
 
+from .fileio import read_text
 from .ir import Circuit, InputError, QforgeError, check_basis, decimal, decode_registers
 from .ir import encode_registers, map_shared, register_bases, shown
 from .logic import BasisState, run_logic
 from .passes import PassConfig, checked, lower
-from .source import ParseError, parse_source
+from .source import ParseError, lines, parse_source
 from .statevector import run
 
 DEFAULT_AMPLITUDE_TOL = 1e-9
@@ -237,13 +240,10 @@ def parse_suite(path: str | Path) -> list[TestCase]:
     cases: list[TestCase] = []
     loaded: dict[Path, Circuit] = {}
     try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as e:
-        raise SuiteError(f"cannot read suite {path}: not UTF-8 ({e.reason})") from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+        text = read_text(path, f"suite {path}")
+    except InputError as e:
+        raise SuiteError(str(e)) from None
+    for lineno, line in lines(text):
         words = line.split()
         keyword = words[0]
         if keyword == "circuit":
@@ -254,12 +254,11 @@ def parse_suite(path: str | Path) -> list[TestCase]:
             target = base / words[1]
             if target not in loaded:
                 try:
-                    loaded[target] = parse_source(target.read_text(encoding="utf-8"))
+                    loaded[target] = parse_source(read_text(target, f"circuit {words[1]}"))
                 except OSError as e:
                     raise SuiteError(f"cannot read circuit: {e}", lineno) from None
-                except UnicodeDecodeError as e:
-                    message = f"cannot read circuit {words[1]}: not UTF-8 ({e.reason})"
-                    raise SuiteError(message, lineno) from None
+                except InputError as e:
+                    raise SuiteError(str(e), lineno) from None
                 except ParseError as e:
                     raise SuiteError(f"bad circuit {words[1]}: {e}", lineno) from None
             circuit = loaded[target]
@@ -308,6 +307,9 @@ def parse_suite(path: str | Path) -> list[TestCase]:
             try:  # int() also refuses a decimal of over 4,300 digits
                 index = int(words[2])
                 real, imag, tol = (float(words[k]) for k in (3, 4, 6))
+                numbers = "".join(words[3:])  # float() also reads non-ASCII digits and '_'
+                if not numbers.isascii() or "_" in numbers:
+                    raise ValueError(numbers)
             except ValueError:
                 raise SuiteError("bad number in amplitude expectation", lineno) from None
             if not (math.isfinite(real) and math.isfinite(imag)):

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .fileio import atomic_write_text
-from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError
+from .ir import Circuit, Control, Gate, GateKind, Index, InputError, QforgeError, shown
 from .logic import NonLogicGate, _ops, plane_indices, read_gate, sweep
 from .passes import _resolve
 from .source import print_source
@@ -357,11 +357,15 @@ def generate_kernels(
 
 def output_names(base_name: str, values: Sequence[str]) -> tuple[str, list[str]]:
     """Every file name reduce writes: ``<base>.manifest.json`` and each
-    ``<base>.k<value>.fqt``. One over NAME_MAX bytes is an InputError
-    that gives lengths, not the name."""
+    ``<base>.k<value>.fqt``. A value given twice is an InputError, and so
+    is a name over NAME_MAX bytes, which gives lengths, not the name."""
     stem = len(os.fsencode(base_name))
     named = [(f"{base_name}.manifest.json", f"a file stem of {stem} bytes names a manifest")]
+    seen: set[str] = set()
     for v in values:
+        if v in seen:
+            raise InputError(f"value {shown(v)} given twice")
+        seen.add(v)
         named.append((f"{base_name}.k{v}.fqt", f"a value of {len(v)} bits names a kernel file"))
     for name, what in named:
         size = len(os.fsencode(name))

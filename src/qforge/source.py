@@ -1,6 +1,7 @@
 """Reader and writer for the circuit source format (``.fqt``).
 
-One statement per line; ``#`` starts a comment::
+One statement per line; ``#`` starts a comment. ``lines``, the one line
+reader of ``.fqt`` and ``.qtest``, ends a line at a newline only::
 
     qreg a 4            # register declaration
     x a[0]              # gate: target operand first
@@ -16,6 +17,7 @@ case-sensitive and must be declared before use.
 from __future__ import annotations
 
 import re
+from typing import Iterator
 
 from .ir import MAX_QUBITS, Circuit, Control, Gate, GateKind, Named, QforgeError, QubitRef, shown
 
@@ -54,6 +56,16 @@ class UndeclaredRegister(ParseError):
         self.label = label
 
 
+def lines(text: str) -> Iterator[tuple[int, str]]:
+    """(1-based number, text before '#' right-stripped) of each line not
+    blank. Only \\n, \\r\\n and \\r end a line; a form feed, say, does not."""
+    text = text.replace("\r\n", "\n").replace("\r", "\n")
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        body = raw.split("#", 1)[0].rstrip()
+        if body:
+            yield lineno, body
+
+
 def _require(m: re.Match, parts: tuple[str, ...], body: str, lineno: int) -> None:
     """Raise for m's first unmatched group, named by parts: at the next
     character after the group before it, or just past that at the end."""
@@ -90,10 +102,7 @@ def parse_source(text: str) -> Circuit:
     gates: list[Gate] = []
     # registers only grow, so a repeated gate line reads as its first
     parsed: dict[str, Gate] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0].rstrip()
-        if not body:
-            continue
+    for lineno, body in lines(text):
         if body in parsed:
             gates.append(parsed[body])
             continue

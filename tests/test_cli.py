@@ -454,6 +454,17 @@ class TestSizeLimits:
         assert err == "error: a value of 246 bits names a kernel file of 256 bytes; at most 255 fit\n"
         assert not (tmp_path / "k").exists()
 
+    def test_repeated_value_is_refused_before_any_work(self, tmp_path, monkeypatch, capsys):
+        def never(*args):
+            raise AssertionError("generate_kernels ran")
+
+        monkeypatch.setattr(cli, "generate_kernels", never)
+        args = ["reduce", fixture_path(MODADD), "--qubits", "a3,a2,a1,a0,c",
+                "--values", "00010,00100,00010", "-o", str(tmp_path / "k")]
+        assert main(args) == 1
+        assert capsys.readouterr() == ("", "error: value '00010' given twice\n")
+        assert not (tmp_path / "k").exists()
+
     def test_max_controls_bound(self, tmp_path, capsys):
         out = tmp_path / "c.qp"
         args = ["compile", fixture_path(FULLADD), "-o", str(out)]

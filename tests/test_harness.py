@@ -300,6 +300,15 @@ class TestParseSuite:
             parse_suite(tmp_path / "s.qtest")
         assert info.value.line == 3
 
+    @pytest.mark.parametrize("ch", list("\v\f\x1c\x1d\x1e\x85\u2028\u2029"))
+    def test_a_comment_keeps_its_line(self, tmp_path, ch):
+        # only a newline ends a line; str.splitlines would also end one at ch
+        (tmp_path / "c.fqt").write_text(f"qreg q 1 # one{ch}qubit\n", encoding="utf-8")
+        suite = f"circuit c.fqt # adder{ch}(4 bits)\nbogus\n"
+        (tmp_path / "s.qtest").write_text(suite, encoding="utf-8")
+        with pytest.raises(SuiteError, match="^line 2: unknown keyword 'bogus'$"):
+            parse_suite(tmp_path / "s.qtest")
+
     def test_non_utf8_suite_file(self, tmp_path):
         path = tmp_path / "s.qtest"
         path.write_bytes(b"# \xff\n")
@@ -318,6 +327,17 @@ class TestParseSuite:
             ("expect amp 0 1 0 tol -1", "tolerance must be finite and at least 0"),
             pytest.param(
                 f"expect amp {'1' * 5000} 1 0 tol 0", "bad number", id="index-of-5000-digits"
+            ),
+            # float() alone reads these as 0.70710678 and 1e-05
+            pytest.param(
+                "expect amp 0 \u0660.7_0710678 0 tol 1e-6",
+                "bad number in amplitude expectation",
+                id="non-ascii-part",
+            ),
+            pytest.param(
+                "expect amp 0 1 0 tol 1_0e-6",
+                "bad number in amplitude expectation",
+                id="underscored-tolerance",
             ),
         ],
     )

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qforge.ir import Circuit, Control, Gate, GateKind, Index
+from qforge.ir import Circuit, Control, Gate, GateKind, Index, InputError
 from qforge import logic
 from qforge.library import AdderLayout, increment_kernel, mod_add
 from qforge.logic import logic_function
@@ -24,6 +24,7 @@ from qforge.reduction import (
     extract_permutation,
     find_control_only_qubits,
     generate_kernels,
+    output_names,
     specialize_syntactic,
     synthesize_from_permutation,
     write_kernels,
@@ -656,3 +657,17 @@ class TestWriteKernels:
         with pytest.raises(ValueError, match="manifest of 257 bytes"):  # an InputError
             write_kernels(report, "w" * 243, tmp_path / "k")
         assert not (tmp_path / "k").exists()
+
+    def test_repeated_value_writes_no_file(self, tmp_path):
+        report = generate_kernels(Circuit((), 2, (cx(1, 0),)), [1], [[0], [1], [0]])
+        with pytest.raises(InputError, match="^value '0' given twice$"):
+            write_kernels(report, "twice", tmp_path / "k")
+        assert not (tmp_path / "k").exists()
+
+
+def test_output_names_refuse_a_repeated_value():
+    assert output_names("m", ["01", "10"]) == ("m.manifest.json", ["m.k01.fqt", "m.k10.fqt"])
+    with pytest.raises(InputError, match="^value '01' given twice$"):
+        output_names("m", ["01", "10", "01"])
+    with pytest.raises(InputError, match="^value token of 300 characters given twice$"):
+        output_names("m", ["0" * 300] * 2)

@@ -13,6 +13,7 @@ from qforge.source import (
     ParseError,
     UndeclaredRegister,
     UnknownGate,
+    lines,
     parse_source,
     print_source,
 )
@@ -132,6 +133,10 @@ def test_sizes_and_offsets_over_the_limit(text, line, col, message):
     assert (type(info.value), info.value.line, info.value.col) == (ParseError, line, col)
 
 
+# the characters besides \n and \r that str.splitlines ends a line at
+_NOT_NEWLINES = "\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+
+
 @pytest.mark.parametrize(
     "text, line, col",
     [
@@ -140,12 +145,22 @@ def test_sizes_and_offsets_over_the_limit(text, line, col, message):
         ("qreg q 2\nx q[\u00b2]", 2, 5),
         ("qreg q 2\nx q[1] q[\u0663]", 2, 10),  # Arabic-Indic 3
         ("qreg \u00e9 1", 1, 6),
+        # only a newline ends a line: a comment keeps these characters,
+        # and the error after it names the next line
+        *((f"# page{ch}break\nqreg q 0", 2, 8) for ch in _NOT_NEWLINES),
     ],
 )
 def test_non_ascii_tokens_are_positioned_errors(text, line, col):
     with pytest.raises(ParseError) as info:
         parse_source(text)
     assert (info.value.line, info.value.col) == (line, col)
+
+
+def test_lines_end_at_newlines_only():
+    text = f"qreg a 2\r\nx a[0]{_NOT_NEWLINES}z # c\rh a[1] # {_NOT_NEWLINES}\n\n \t\nx a[1]  "
+    assert list(lines(text)) == [
+        (1, "qreg a 2"), (2, f"x a[0]{_NOT_NEWLINES}z"), (3, "h a[1]"), (6, "x a[1]")
+    ]
 
 
 # statements with a well-formed head and shuffled operand fragments,
