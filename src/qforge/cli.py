@@ -34,7 +34,7 @@ from .passes import PassConfig, _resolver, checked, compile_circuit, verify
 from .qp import emit_qp, parse_qp, to_circuit
 from .reduction import generate_kernels, output_names, write_kernels
 from .source import parse_source
-from .statevector import probabilities, run
+from .statevector import run
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,16 +129,25 @@ def _cmd_sim(args) -> int:
             print(format(out.bits, f"0{circuit.n_qubits}b"))
         return 0
     state = run(circuit, prep)
-    probs = probabilities(state)
-    # descending probability, ties by ascending index; only entries of at
-    # least 1e-12 are sorted, else the first maximum alone is printed
-    order = np.flatnonzero(probs >= 1e-12)
-    order = order[np.argsort(-probs[order], kind="stable")] if order.size else [probs.argmax()]
-    for i in map(int, order[: args.top]):
-        amp = state.amplitudes[i] + 0.0  # -0.0 + 0.0 is 0.0: a zero prints as 0 on every path
+    idx, amp = state.entries()  # ascending indices; every other amplitude is 0
+    probs = amp.real**2 + amp.imag**2
+    # descending probability, ties by ascending index, over the entries of
+    # at least 1e-12: the others sort last and are dropped
+    keys = np.negative(probs)
+    keys[~(probs >= 1e-12)] = np.inf
+    order = np.argsort(keys, kind="stable")[: args.top]
+    order = order[keys[order] < np.inf]
+    if not order.size:
+        # none passes 1e-12: the first maximum of all 2**n alone is
+        # printed, which is index 0 when no listed probability passes 0
+        if not idx.size or idx[0]:
+            idx, amp, probs = (np.insert(a, 0, 0) for a in (idx, amp, probs))
+        order = [probs.argmax()]
+    for k in order:
+        i, a = int(idx[k]), amp[k] + 0.0  # -0.0 + 0.0 is 0.0: a zero prints as 0 on every path
         print(
             f"{i} {format(i, f'0{state.n_qubits}b')} "
-            f"{amp.real:.10g} {amp.imag:.10g} {probs[i]:.10g}"
+            f"{a.real:.10g} {a.imag:.10g} {probs[k]:.10g}"
         )
     return 0
 
@@ -152,6 +161,9 @@ def _cmd_reduce(args) -> int:
     for value in values:
         if not all(ch in "01" for ch in value):
             raise InputError(f"value {shown(value)} must be a bit string")
+        if len(value) != len(qubit_indices):
+            width, count = len(value), len(qubit_indices)
+            raise InputError(f"value {shown(value)}: value width {width} != qubit count {count}")
     output_names(Path(args.file).stem, values)  # checked before any work
     report = generate_kernels(circuit, qubit_indices, [list(map(int, v)) for v in values])
     manifest = write_kernels(report, Path(args.file).stem, args.output)

@@ -45,13 +45,21 @@ fired entry with its partner, 0 where absent, and runs
 ``apply_gate``'s ufuncs on the pairs. Before an H that would take
 the support past 2**(n - SPARSE_SHARE_BITS) entries, and before a gate
 ``apply_gate`` reads its own way (one naming a qubit twice, or one
-other than X and SWAP naming every qubit), the support is scattered
-into the array ``init_state`` allocated and the dense loop above takes
-the remaining gates; a run that stays sparse scatters at the end. The
-switch depends on n and the support size only, and both constants are
-break-evens measured at 8-20 qubits. A support of 2**(n - 6) entries
-and its temporaries take under a fifth of the half-size temporary
-``init_state`` counts.
+other than X and SWAP naming every qubit), the dense loop above takes
+the remaining gates. The switch depends on n and the support size
+only, and both constants are break-evens measured at 8-20 qubits. A
+support of 2**(n - 6) entries and its temporaries take under a fifth
+of the half-size temporary ``init_state`` counts.
+
+A ``StateVector`` holds its support until something reads
+``amplitudes``: the first read, by the dense loop or by a caller,
+scatters the support into ``np.zeros``, so the array holds the same
+bits whenever it is built. A run that stays sparse never builds it,
+and its readers go through ``entries``, which lists the support, or
+the entries of the array that are not +0 in both parts, by ascending
+index. So ``sim`` and ``test`` on a basis-state arithmetic circuit
+hold only the support. ``init_state``'s memory check still counts the
+whole array: it comes first in ``run``, before any work.
 
 Every sparse product is out of place. numpy 2.4 rounds an in-place
 product on a one-element array by another path: for
@@ -68,7 +76,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -101,14 +108,44 @@ class StateTooLarge(QforgeError):
     """The amplitudes and one kernel temporary exceed physical memory."""
 
 
-@dataclass
 class StateVector:
-    n_qubits: int
-    amplitudes: np.ndarray
+    """The 2**n amplitudes of an n-qubit state, held as an array or as a
+    support: basis indices (int64, no index twice) and their amplitudes,
+    every other amplitude 0. ``amplitudes`` builds the array from the
+    support on first access; ``entries`` reads either form."""
+
+    def __init__(self, n_qubits: int, amplitudes: np.ndarray | None = None,
+                 support: tuple[np.ndarray, np.ndarray] | None = None):
+        self.n_qubits = n_qubits
+        self._dense, self._support = amplitudes, support
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        if self._dense is None:
+            idx, amp = self._support
+            self._dense = np.zeros(1 << self.n_qubits, dtype=complex)
+            self._dense[idx] = amp
+            self._support = None
+        return self._dense
+
+    def entries(self) -> tuple[np.ndarray, np.ndarray]:
+        """(indices, amplitudes), indices ascending: the support, or the
+        array's entries that are not +0 in both parts. Every basis index
+        left out has amplitude +0."""
+        if self._dense is not None:
+            bits = self._dense.view(np.uint64)
+            idx = np.flatnonzero(np.logical_or(bits[::2], bits[1::2]))
+            # every entry listed: the array itself, not a copy of it
+            return idx, self._dense if len(idx) == len(self._dense) else self._dense[idx]
+        idx, amp = self._support
+        order = np.argsort(idx, kind="stable")  # adaptive: once sorted, a linear pass
+        self._support = idx[order], amp[order]
+        return self._support
 
 
 def init_state(n_qubits: int, basis: int = 0) -> StateVector:
-    """State vector with amplitude 1 at the given basis index.
+    """State vector with amplitude 1 at the given basis index, held as
+    that one-entry support.
 
     Raises StateTooLarge, before allocating, when the state, the
     half-size temporary of a gate and the PLANE_SCRATCH bytes of a
@@ -124,9 +161,7 @@ def init_state(n_qubits: int, basis: int = 0) -> StateVector:
             f"{n_qubits} qubits need {need} bytes for the state vector; "
             f"physical memory is {physical} bytes"
         )
-    amp = np.zeros(1 << n_qubits, dtype=complex)
-    amp[basis] = 1.0
-    return StateVector(n_qubits, amp)
+    return StateVector(n_qubits, support=(np.array([basis], dtype=np.int64), np.ones(1, complex)))
 
 
 def _views(state: StateVector, r: GateReading, *fixes) -> list[np.ndarray]:
@@ -189,7 +224,8 @@ def run(c: Circuit, prep: int = 0) -> StateVector:
     """Prepare the given basis state and apply every gate in order.
 
     From SPARSE_MIN_QUBITS qubits on, gates first act on the state's
-    support (``_sparse``). The dense loop takes the rest: long X/SWAP
+    support (``_sparse``), and a run they all act on returns the state
+    holding its support. The dense loop takes the rest: long X/SWAP
     runs go through ``_permute``, every other gate through
     ``apply_gate`` (see the module docstring).
     """
@@ -211,9 +247,10 @@ def run(c: Circuit, prep: int = 0) -> StateVector:
 
 
 def _sparse(state: StateVector, gates, prep: int) -> int:
-    """Apply gates to the support of basis state ``prep`` while it holds
-    at most 2**(n - SPARSE_SHARE_BITS) entries, then scatter it into the
-    state; return the number of gates applied.
+    """Apply gates to the support of basis state ``prep``, the state
+    ``init_state`` gave, while the support holds at most
+    2**(n - SPARSE_SHARE_BITS) entries, and leave the state holding it;
+    return the number of gates applied.
 
     The support is the basis indices (int64) and amplitudes of the
     entries the gates have reached. It stops before a gate naming a
@@ -222,11 +259,12 @@ def _sparse(state: StateVector, gates, prep: int) -> int:
     """
     n = state.n_qubits
     everything, limit = (1 << n) - 1, 1 << (n - SPARSE_SHARE_BITS)
+    X, SWAP, Y, H = GateKind.X, GateKind.SWAP, GateKind.Y, GateKind.H  # one enum lookup each
     idx = np.array([prep], dtype=np.int64)
     amp = np.ones(1, dtype=complex)
     for done, g in enumerate(gates):
         r, kind = read_gate(g, n), g.kind
-        moves = kind is GateKind.X or kind is GateKind.SWAP
+        moves = kind is X or kind is SWAP
         if not r.distinct or r.named == everything and not moves:
             break  # apply_gate reads these its own way: see above
         if moves:
@@ -234,18 +272,21 @@ def _sparse(state: StateVector, gates, prep: int) -> int:
                 np.bitwise_xor(idx, flip, out=idx, where=idx & mask == want)
             continue
         t, mask, want = 1 << r.targets[0], r.mask, r.want
-        if kind is GateKind.Y:  # each fired entry moves to its partner
+        if kind is Y:  # each fired entry moves to its partner
             lo = idx & (mask | t) == want
             hi = idx & (mask | t) == want | t
             amp[lo], amp[hi] = np.multiply(amp[lo], 1j), np.multiply(amp[hi], -1j)
             idx[lo | hi] ^= t
-        elif kind is not GateKind.H:
+        elif kind is not H:
             fire = idx & (mask | t) == want | t
             amp[fire] = np.multiply(amp[fire], _PHASES[kind])
         else:  # each fired entry pairs with its partner, 0 where absent
             fire = idx & mask == want
             keep, fired, up = ~fire, amp[fire], idx[fire] & t != 0
-            pairs, slot = np.unique(idx[fire] & ~t, return_inverse=True)
+            if 0 < np.count_nonzero(up) < len(fired):  # a fired entry may meet its partner
+                pairs, slot = np.unique(idx[fire] & ~t, return_inverse=True)
+            else:  # all on one side of t: no partner is present, no sort
+                pairs, slot = idx[fire] & ~t, np.arange(len(fired))
             if np.count_nonzero(keep) + 2 * len(pairs) > limit:
                 break
             lo, hi = np.zeros((2, len(pairs)), dtype=complex)
@@ -255,8 +296,7 @@ def _sparse(state: StateVector, gates, prep: int) -> int:
             amp = np.concatenate((amp[keep], np.add(tmp, hi), np.subtract(tmp, hi)))
     else:
         done = len(gates)
-    state.amplitudes[prep] = 0
-    state.amplitudes[idx] = amp
+    state._dense, state._support = None, (idx, amp)
     return done
 
 
@@ -306,6 +346,11 @@ def _permute(state: StateVector, gates, p: int) -> None:
 
 
 def probabilities(s: StateVector) -> np.ndarray:
-    """|amplitude|^2 per basis index; sums to 1 for a normalized state."""
-    a = s.amplitudes
-    return a.real**2 + a.imag**2
+    """|amplitude|^2 per basis index; sums to 1 for a normalized state.
+
+    Read through ``entries``: a state held as its support builds this
+    float array, never its complex one."""
+    idx, amp = s.entries()
+    probs = np.zeros(1 << s.n_qubits)
+    probs[idx] = amp.real**2 + amp.imag**2
+    return probs

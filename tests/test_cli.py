@@ -14,10 +14,10 @@ from hypothesis import strategies as st
 from qforge import cli
 from qforge.cli import main
 from qforge.harness import SuiteError
-from qforge.ir import CircuitError, InputError, QforgeError, decimal
+from qforge.ir import Circuit, CircuitError, Gate, GateKind, Index, InputError, QforgeError, decimal
 from qforge.library import cuccaro_full_add, fixture_path
 from qforge.logic import NonLogicGate, logic_function
-from qforge.passes import CompileError, resolve_names
+from qforge.passes import CompileError, checked, resolve_names
 from qforge.qp import QPFormatError, parse_qp, to_circuit
 from qforge.reduction import ReductionError
 from qforge.source import ParseError, parse_source, print_source
@@ -28,7 +28,10 @@ from qforge.statevector import (
     apply_gate,
     init_state,
     probabilities,
+    run,
 )
+
+from helpers import random_indexed_circuit
 
 FULLADD = "cuccaro_fulladd4.fqt"
 MODADD = "cuccaro_modadd4_rearranged.fqt"
@@ -465,6 +468,26 @@ class TestSizeLimits:
         assert capsys.readouterr() == ("", "error: value '00010' given twice\n")
         assert not (tmp_path / "k").exists()
 
+    @pytest.mark.parametrize(
+        "values, shown",
+        [("00010,0001", "'0001'"), ("00010,", "''"), ("000101,00010", "'000101'")],
+        ids=["narrow", "empty", "wide"],
+    )
+    def test_value_of_another_width_is_refused_before_any_work(
+        self, tmp_path, monkeypatch, capsys, values, shown
+    ):
+        def never(*args):
+            raise AssertionError("generate_kernels ran")
+
+        monkeypatch.setattr(cli, "generate_kernels", never)
+        args = ["reduce", fixture_path(MODADD), "--qubits", "a3,a2,a1,a0,c",
+                "--values", values, "-o", str(tmp_path / "k")]
+        assert main(args) == 1
+        width = len(shown) - 2
+        err = f"error: value {shown}: value width {width} != qubit count 5\n"
+        assert capsys.readouterr() == ("", err)
+        assert not (tmp_path / "k").exists()
+
     def test_max_controls_bound(self, tmp_path, capsys):
         out = tmp_path / "c.qp"
         args = ["compile", fixture_path(FULLADD), "-o", str(out)]
@@ -745,6 +768,57 @@ def test_sv_top_amplitudes_match_a_full_sort(tmp_path, monkeypatch, capsys, amps
     path = write_circuit(tmp_path, "q.fqt", "qreg q 3\nx q[0]\n")
     assert main(["sim", path, "--top", str(top)]) == 0
     assert capsys.readouterr().out == _top_by_full_sort(state, top)
+
+
+def _sim_by_dense_read(circuit, prep, top):
+    # sim's printing as it was before it read entries: run's whole array
+    state = run(circuit, prep)
+    probs = state.amplitudes.real**2 + state.amplitudes.imag**2
+    order = np.flatnonzero(probs >= 1e-12)
+    order = order[np.argsort(-probs[order], kind="stable")] if order.size else [probs.argmax()]
+    lines = []
+    for i in map(int, order[:top]):
+        amp = state.amplitudes[i] + 0.0
+        lines.append(f"{i} {format(i, f'0{state.n_qubits}b')} "
+                     f"{amp.real:.10g} {amp.imag:.10g} {probs[i]:.10g}\n")
+    return "".join(lines)
+
+
+def _sim_matches_a_dense_read(path, preps, capsys):
+    circuit = checked(parse_source(Path(path).read_text()))
+    for prep in preps:
+        for top in (1, 8, 1000):
+            assert main(["sim", path, "--prep", str(prep), "--top", str(top)]) == 0
+            assert capsys.readouterr().out == _sim_by_dense_read(circuit, prep, top), (prep, top)
+
+
+def test_sv_sim_prints_what_a_dense_read_gives_on_fixtures_and_adders(tmp_path, capsys):
+    paths = sorted(map(str, Path(fixture_path(FULLADD)).parent.glob("*.fqt")))
+    for w in (6, 9, 10):  # 14, 20 and 22 qubits, each run sparse to the end
+        paths.append(write_circuit(tmp_path, f"add{w}.fqt", print_source(cuccaro_full_add(w))))
+    # a 14-qubit adder on a superposition of a and b: the run turns dense
+    head, body = print_source(cuccaro_full_add(6)).split("\nx ", 1)
+    layer = "".join(f"h {r}[{k}]\n" for r in "ab" for k in range(6))
+    paths.append(write_circuit(tmp_path, "sup14.fqt", f"{head}\n{layer}x {body}"))
+    rng = random.Random(67)
+    for path in paths:
+        n = checked(parse_source(Path(path).read_text())).n_qubits
+        _sim_matches_a_dense_read(path, [0, (1 << n) - 1, rng.getrandbits(n)], capsys)
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.integers(12, 15), st.integers(0, 8), st.integers(0, 40), st.integers(0, 2**32))
+def test_sv_sim_of_random_circuits_prints_what_a_dense_read_gives_property(
+    tmp_path, capsys, n, hs, size, seed
+):
+    # an H layer of 0-8 qubits, then gates of every kind: some runs stay
+    # sparse to the end, some turn dense
+    rng = random.Random(seed)
+    gates = [Gate(GateKind.H, (Index(q),)) for q in rng.sample(range(n), hs)]
+    gates += random_indexed_circuit(rng, n, size, p_negative=0.5).gates
+    text = print_source(Circuit((("q", n),), n, tuple(gates)))
+    _sim_matches_a_dense_read(write_circuit(tmp_path, "r.fqt", text), [rng.getrandbits(n)], capsys)
 
 
 def test_logic_sim_prints_a_register_of_thousands_of_digits_whole(tmp_path, capsys):

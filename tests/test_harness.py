@@ -1,6 +1,8 @@
 """Test harness: preparations, expectations, suite files."""
 import math
+import random
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,14 +11,30 @@ from qforge import harness
 from qforge.harness import (
     AmplitudeExpectation,
     Backend,
+    CaseResult,
     SuiteError,
     TestCase,
     parse_assignments,
     parse_suite,
     run_suite,
 )
-from qforge.ir import Named, new_circuit, cnot, h, mcx, x
+from qforge.ir import (
+    Circuit,
+    Gate,
+    GateKind,
+    Index,
+    Named,
+    cnot,
+    encode_registers,
+    h,
+    mcx,
+    new_circuit,
+    x,
+)
 from qforge.library import fixture_path, mod_add
+from qforge.statevector import run
+
+from helpers import random_indexed_circuit
 
 SQ2 = 1 / math.sqrt(2)
 
@@ -495,3 +513,53 @@ def test_mismatch_names_a_long_actual_value_by_its_length(tmp_path):
     result = _wide_suite(tmp_path, f"prep q={(1 << 399) - 2} expect q=0")
     assert result.status == "fail"
     assert result.message == "expected q=0, actual q=token of 121 characters"
+
+
+def _sv_by_dense_read(case):
+    # the sv check as it read before it went through entries: run's whole array
+    state = run(case.circuit, encode_registers(case.circuit, case.prep))
+    floor = min(
+        (e.tolerance for e in case.expect_amplitudes), default=harness.DEFAULT_AMPLITUDE_TOL
+    )
+    for e in case.expect_amplitudes:
+        actual = state.amplitudes[e.index]
+        if abs(actual - e.amplitude) > e.tolerance:
+            return CaseResult(case.name, "fail", f"amplitude[{e.index}] = {actual:.9g}, expected "
+                              f"{e.amplitude:.9g} within {e.tolerance:g}")
+    large = np.abs(state.amplitudes) > floor
+    large[[e.index for e in case.expect_amplitudes]] = False
+    if large.any():
+        i = int(large.argmax())
+        message = f"unlisted amplitude[{i}] = {state.amplitudes[i]:.9g} exceeds {floor:g}"
+        return CaseResult(case.name, "fail", message)
+    return CaseResult(case.name, "pass")
+
+
+@st.composite
+def _sparse_sv_cases(draw):
+    # 12-14 qubits, so the run keeps its support; a few H first, then
+    # gates of every kind
+    n = draw(st.integers(12, 14))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    gates = [Gate(GateKind.H, (Index(q),)) for q in rng.sample(range(n), rng.randint(0, 3))]
+    gates += random_indexed_circuit(rng, n, rng.randint(0, 30), p_negative=0.5).gates
+    circuit = Circuit((("q", n),), n, tuple(gates))
+    prep = rng.getrandbits(n)
+    # listed indices: some of the support (so others go unlisted) and a
+    # few outside it, each expected exactly, nearly or far from its value
+    amps = run(circuit, prep).amplitudes
+    support = np.flatnonzero(amps).tolist()
+    listed = rng.sample(support, rng.randint(0, len(support)))
+    listed += rng.sample(range(1 << n), rng.randint(0, 2))
+    expectations = [
+        AmplitudeExpectation(i, complex(amps[i]) + rng.choice([0, 1e-7, 0.3j]),
+                             rng.choice([1e-9, 1e-6, 0.5]))
+        for i in dict.fromkeys(listed)
+    ]
+    return TestCase("s", circuit, Backend.SV, {"q": prep}, expect_amplitudes=expectations)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_sparse_sv_cases())
+def test_sv_cases_on_a_support_match_a_dense_read_property(case):
+    assert run_suite([case]).results == (_sv_by_dense_read(case),)

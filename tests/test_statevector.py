@@ -605,3 +605,57 @@ def test_a_sparse_run_allocates_no_more_than_init_state_counts():
     assert statevector._sparse(init_state(n, 3), c.gates, 3) == len(c.gates)
     assert peak - before <= state_bytes + state_bytes // 2
     assert np.array_equal(s.amplitudes, _gate_loop(c, 3))
+
+
+# ---- a run that stays sparse holds its support
+
+
+def _holds(s: StateVector, want: np.ndarray) -> bool:
+    # entries, probabilities and amplitudes against the dense gate loop
+    idx, amp = s.entries()
+    rest = np.ones(want.size, dtype=bool)
+    rest[idx] = False
+    return (
+        bool(np.all(np.diff(idx) > 0))
+        and np.array_equal(amp, want[idx])
+        and not want[rest].any()
+        and np.array_equal(probabilities(s), want.real**2 + want.imag**2)
+        and np.array_equal(s.amplitudes, want)
+    )
+
+
+@st.composite
+def _mixed_basis_circuits(draw):
+    n = draw(st.integers(12, 15))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    # an H layer of 0-8 qubits, so that later H gates meet entries with and
+    # without partners and some runs turn dense; then gates of every kind
+    gates = [Gate(GateKind.H, (Index(q),)) for q in rng.sample(range(n), rng.randint(0, 8))]
+    gates += random_indexed_circuit(rng, n, draw(st.integers(0, 40)), p_negative=0.5).gates
+    return Circuit((), n, tuple(gates)), draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_mixed_basis_circuits())
+def test_a_run_holds_what_the_gate_loop_gives_property(case):
+    c, prep = case
+    assert _holds(run(c, prep), _gate_loop(c, prep))
+
+
+@pytest.mark.parametrize("w, preps", [(6, 4), (9, 3), (10, 2)], ids=["14", "20", "22"])
+def test_an_adder_run_holds_its_one_entry_and_no_array(w, preps):
+    c, _ = resolve_names(cuccaro_full_add(w))
+    rng = random.Random(w)
+    for prep in [(1 << c.n_qubits) - 1] + [rng.getrandbits(c.n_qubits) for _ in range(preps - 1)]:
+        s = run(c, prep)
+        assert len(s.entries()[0]) == 1
+        assert s._dense is None  # entries and probabilities build no complex array
+        probabilities(s)
+        assert s._dense is None
+        assert _holds(s, _gate_loop(c, prep))
+
+
+def test_init_state_holds_its_basis_until_read():
+    s = init_state(20, 7)
+    assert [a.tolist() for a in s.entries()] == [[7], [1]] and s._dense is None
+    assert s.amplitudes[7] == 1 and s.amplitudes.sum() == 1 and s.amplitudes is s.amplitudes
