@@ -9,7 +9,8 @@ state-vector backend.
 
 Negative controls cost nothing here, so they are honored directly with
 no lowering. ``read_gate`` is the one reading of an indexed gate, for
-this backend, every state-vector path and the reduction walk.
+this backend, every state-vector path and the reduction walk, and it
+refuses a gate naming a qubit twice, as ``verify`` does.
 
 Many states at once run on bit planes, whose layout only this module
 knows: one uint8 row per qubit, state i's bit at bit i % 8 of byte
@@ -83,12 +84,12 @@ class GateReading(NamedTuple):
     mask: int  # OR of the control bits
     want: int  # OR of the positive control bits
     named: int  # OR of every bit the gate names
-    distinct: bool  # no qubit named twice
 
 
 def read_gate(g: Gate, n: int) -> GateReading:
     """Read a gate's references on n qubits, targets first, raising index_of's
-    ValueError at a bad one; a qubit named twice is left to each caller."""
+    ValueError at a bad one, then a ValueError if the gate names a qubit
+    twice: ``verify`` rejects such a gate, and no reader gives it a meaning."""
     targets, controls, mask, want = [], [], 0, 0
     for ref in g.targets:
         targets.append(index_of(ref, n))
@@ -99,8 +100,10 @@ def read_gate(g: Gate, n: int) -> GateReading:
         if k.positive:
             want |= 1 << q
     named = mask | 1 << targets[0] | 1 << targets[-1]  # one target or two
-    distinct = named.bit_count() == len(targets) + len(controls)
-    reading = (tuple(targets), tuple(controls), mask, want, named, distinct)
+    if named.bit_count() != len(targets) + len(controls):
+        qubits = targets + [q for q, _ in controls]
+        raise ValueError(f"{g.kind.value} gate names qubit {max(qubits, key=qubits.count)} twice")
+    reading = (tuple(targets), tuple(controls), mask, want, named)
     return tuple.__new__(GateReading, reading)  # half the generated __new__'s cost, paid per gate
 
 
@@ -111,17 +114,16 @@ def flip_ops(r: GateReading) -> Ops:
         return ((mask, want, p),)
     q = 1 << r.targets[1]
     pq = (mask | p, want | p, q)
-    return (pq, (mask | q, want | q, p), pq) if p != q else ()
+    return pq, (mask | q, want | q, p), pq
 
 
 def translate(gates: Sequence[Gate], n: int) -> Ops:
     """A NOT-family gate list on n qubits as ``(mask, want, flip)`` ops.
 
     ``flip`` applies when ``bits & mask == want``. A SWAP(p, q) becomes
-    CX(p->q), CX(q->p), CX(p->q), each carrying the swap's controls, and
-    SWAP(p, p) becomes nothing. Gates are taken as ``verify`` accepts
-    them: a target reused as a control or a contradictory control pair
-    has no defined meaning. Each distinct gate object (gates shared via
+    CX(p->q), CX(q->p), CX(p->q), each carrying the swap's controls. A
+    gate naming a qubit twice raises ``read_gate``'s ValueError, as
+    ``verify`` rejects it. Each distinct gate object (gates shared via
     ``repeat``, the parser or ``qp.to_circuit``) is translated once, so
     million-gate lists stay cheap. Raises NonLogicGate at the first gate
     outside the NOT family.

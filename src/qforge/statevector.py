@@ -3,12 +3,12 @@
 Keeps all 2**n complex amplitudes and views them as an n-axis tensor of
 shape (2,)*n, qubit q on axis n-1-q (basis indexing is little-endian
 throughout the toolkit: bit i of a basis index holds qubit i). Every
-path reads a gate through ``logic.read_gate``, and a gate never builds
-an index or mask array. Each control of polarity v fixes its axis to
-slice(v, v+1), so the amplitudes that fail a control are not touched
-and each extra control halves the work. The target axis then splits
-into a |0> half and a |1> half, and the gate's 2x2 matrix mixes the
-two half views in place:
+path reads a gate through ``logic.read_gate``, which refuses one
+naming a qubit twice, and a gate never builds an index or mask array.
+Each control of polarity v fixes its axis to slice(v, v+1), so the
+amplitudes that fail a control are not touched and each extra control
+halves the work. The target axis then splits into a |0> half and a |1>
+half, and the gate's 2x2 matrix mixes the two half views in place:
 
 * X swaps the halves through one half-size temporary;
 * Z, S, SDG, T and TDG scale only the |1> half by their phase in
@@ -35,21 +35,21 @@ only moves amplitudes, so it is bit-identical to applying each gate
 with ``apply_gate``.
 
 Every run starts from one basis state, and arithmetic circuits keep the
-state sparse. From SPARSE_MIN_QUBITS qubits on, ``run`` first applies
-gates to the support alone (``_sparse``): the basis indices (int64) of
-the entries the gates have reached, and their amplitudes. X and SWAP
+state sparse. So at every width ``run`` first applies gates to the
+support alone (``_sparse``): the basis indices (int64) of the entries
+the gates have reached, and their amplitudes. X and SWAP
 move indices by their ops (``logic.flip_ops``); Z, S, SDG, T and TDG
 scale the entries whose target bit is 1 and whose controls hold; Y
 moves each fired entry to its partner, times its phase; H pairs each
 fired entry with its partner, 0 where absent, and runs
 ``apply_gate``'s ufuncs on the pairs. Before an H that would take
-the support past 2**(n - SPARSE_SHARE_BITS) entries, and before a gate
-``apply_gate`` reads its own way (one naming a qubit twice, or one
-other than X and SWAP naming every qubit), the dense loop above takes
-the remaining gates. The switch depends on n and the support size
-only, and both constants are break-evens measured at 8-20 qubits. A
-support of 2**(n - 6) entries and its temporaries take under a fifth
-of the half-size temporary ``init_state`` counts.
+the support past 2**n >> SPARSE_SHARE_BITS entries, none below six
+qubits, and before a gate other than X and SWAP naming every qubit
+(see below), the dense loop above takes the remaining gates. The
+switch depends on n and the support size only, at a break-even
+measured at 8-20 qubits. A support of 2**(n - 6) entries and its
+temporaries take under a fifth of the half-size temporary
+``init_state`` counts.
 
 A ``StateVector`` holds its support until something reads
 ``amplitudes``: the first read, by the dense loop or by a caller,
@@ -100,8 +100,7 @@ FUSE_MIN_GATES = 16
 FUSE_MIN_QUBITS = 12
 _CHUNK_BITS = 16  # _permute handles 2**16 output indices per plane pass
 # break-even of _sparse against the dense loop, measured at 8-20 qubits
-SPARSE_MIN_QUBITS = 12
-SPARSE_SHARE_BITS = 6  # the support stays within 2**(n - 6) entries
+SPARSE_SHARE_BITS = 6  # the support stays within 2**n >> 6 entries
 
 
 class StateTooLarge(QforgeError):
@@ -199,8 +198,6 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
     t = r.targets[0]
     if len(r.targets) == 2:  # a SWAP, the one two-target kind
         q = r.targets[1]
-        if t == q:
-            raise ValueError("swap targets are identical")
         _exchange(*_views(state, r, [(t, 1), (q, 0)], [(t, 0), (q, 1)]))
         return state
     lo, hi = _views(state, r, [(t, 0)], [(t, 1)])
@@ -223,16 +220,13 @@ def apply_gate(state: StateVector, gate: Gate) -> StateVector:
 def run(c: Circuit, prep: int = 0) -> StateVector:
     """Prepare the given basis state and apply every gate in order.
 
-    From SPARSE_MIN_QUBITS qubits on, gates first act on the state's
-    support (``_sparse``), and a run they all act on returns the state
-    holding its support. The dense loop takes the rest: long X/SWAP
-    runs go through ``_permute``, every other gate through
-    ``apply_gate`` (see the module docstring).
+    Gates first act on the state's support (``_sparse``), and a run
+    they all act on returns the state holding its support. The dense
+    loop takes the rest: long X/SWAP runs go through ``_permute``, every
+    other gate through ``apply_gate`` (see the module docstring).
     """
     state = init_state(c.n_qubits, prep)
-    gates = c.gates
-    if c.n_qubits >= SPARSE_MIN_QUBITS:
-        gates = gates[_sparse(state, gates, prep):]
+    gates = c.gates[_sparse(state, c.gates):]
     done = 0
     if c.n_qubits >= FUSE_MIN_QUBITS:
         for start, stop, p in _permutation_runs(gates, c.n_qubits):
@@ -246,27 +240,24 @@ def run(c: Circuit, prep: int = 0) -> StateVector:
     return state
 
 
-def _sparse(state: StateVector, gates, prep: int) -> int:
-    """Apply gates to the support of basis state ``prep``, the state
-    ``init_state`` gave, while the support holds at most
-    2**(n - SPARSE_SHARE_BITS) entries, and leave the state holding it;
-    return the number of gates applied.
+def _sparse(state: StateVector, gates) -> int:
+    """Apply gates to the support of the basis state ``init_state`` gave
+    while the support holds at most 2**n >> SPARSE_SHARE_BITS entries,
+    and leave the state holding it; return the number of gates applied.
 
     The support is the basis indices (int64) and amplitudes of the
-    entries the gates have reached. It stops before a gate naming a
-    qubit twice, a gate other than X and SWAP naming every qubit, and
-    an H that would pass that size.
+    entries the gates have reached. It stops before a gate other than X
+    and SWAP naming every qubit, and an H that would pass that size.
     """
     n = state.n_qubits
-    everything, limit = (1 << n) - 1, 1 << (n - SPARSE_SHARE_BITS)
+    everything, limit = (1 << n) - 1, (1 << n) >> SPARSE_SHARE_BITS
     X, SWAP, Y, H = GateKind.X, GateKind.SWAP, GateKind.Y, GateKind.H  # one enum lookup each
-    idx = np.array([prep], dtype=np.int64)
-    amp = np.ones(1, dtype=complex)
+    idx, amp = state._support
     for done, g in enumerate(gates):
         r, kind = read_gate(g, n), g.kind
         moves = kind is X or kind is SWAP
-        if not r.distinct or r.named == everything and not moves:
-            break  # apply_gate reads these its own way: see above
+        if r.named == everything and not moves:
+            break  # apply_gate's rounding differs here: see above
         if moves:
             for mask, want, flip in flip_ops(r):
                 np.bitwise_xor(idx, flip, out=idx, where=idx & mask == want)
@@ -311,7 +302,7 @@ def _permutation_runs(gates, n: int):
     start, targeted = 0, 0
     for i, g in enumerate(gates):
         r = read_gate(g, n) if g.kind is GateKind.X or g.kind is GateKind.SWAP else None
-        bits = r.named ^ r.mask if r is not None and r.distinct else 0  # the target bits
+        bits = r.named ^ r.mask if r is not None else 0  # the target bits
         if bits and targeted | bits != everything:
             targeted |= bits
             continue

@@ -21,7 +21,9 @@ from qforge.logic import (
     run_logic,
     sweep,
 )
-from qforge.statevector import probabilities, run
+from qforge.passes import verify
+from qforge.reduction import Specialization, specialize_syntactic
+from qforge.statevector import apply_gate, init_state, probabilities, run
 
 from helpers import dense_unitary, random_x_circuit
 
@@ -158,12 +160,6 @@ def test_logic_function_matches_dense_unitary_property(c):
         assert u[f(v), v] == 1
 
 
-def test_swap_of_a_qubit_with_itself_changes_nothing():
-    g = Gate(GateKind.SWAP, (Index(0), Index(0)), (Control(Index(1)),))
-    c = Circuit((), 2, (g,))
-    assert [logic_function(c)(v) for v in range(4)] == [0, 1, 2, 3]
-
-
 @st.composite
 def _sweeps(draw):
     """A circuit, its free qubits in any order, the others' fixed bits and a
@@ -233,10 +229,10 @@ def test_new_circuit_after_a_deleted_one_gets_its_own_results():
 
 
 @st.composite
-def _indexed_gates(draw):
+def _indexed_gates(draw, max_qubits=70):
     # any kind, qubits drawn with repeats: SWAP(p, p), a control on a
     # target and a qubit controlled twice (with either polarity) all occur
-    n = draw(st.integers(1, 70))
+    n = draw(st.integers(1, max_qubits))
     kind = draw(st.sampled_from(list(GateKind)))
     qubit = st.integers(0, n - 1)
     targets = draw(st.lists(qubit, min_size=2, max_size=2)) if kind is GateKind.SWAP else [draw(qubit)]
@@ -246,20 +242,27 @@ def _indexed_gates(draw):
     )
 
 
+def _qubits(g: Gate) -> list[int]:
+    return [t.index for t in g.targets] + [k.qubit.index for k in g.controls]
+
+
 @settings(max_examples=300, deadline=None)
 @given(_indexed_gates(), st.integers(0, 7), st.sampled_from([0, 5, None]))
 @example((3, Gate(GateKind.SWAP, (Index(1), Index(1)))), 1, 0)
 @example((2, Gate(GateKind.T, (Index(0),), (Control(Index(1)), Control(Index(1), False)))), 2, None)
 def test_read_gate_matches_a_decode_property(case, at, past):
     n, g = case
-    qubits = [t.index for t in g.targets] + [k.qubit.index for k in g.controls]
-    r = read_gate(g, n)
-    assert r.targets == tuple(t.index for t in g.targets)
-    assert r.controls == tuple((k.qubit.index, k.positive) for k in g.controls)
-    assert r.mask == sum({1 << k.qubit.index for k in g.controls})
-    assert r.want == sum({1 << k.qubit.index for k in g.controls if k.positive})
-    assert r.named == sum({1 << q for q in qubits})
-    assert r.distinct == (len(set(qubits)) == len(qubits))
+    qubits = _qubits(g)
+    if len(set(qubits)) < len(qubits):
+        with pytest.raises(ValueError, match=" twice$"):
+            read_gate(g, n)
+    else:
+        r = read_gate(g, n)
+        assert r.targets == tuple(t.index for t in g.targets)
+        assert r.controls == tuple((k.qubit.index, k.positive) for k in g.controls)
+        assert r.mask == sum(1 << k.qubit.index for k in g.controls)
+        assert r.want == sum(1 << k.qubit.index for k in g.controls if k.positive)
+        assert r.named == sum(1 << q for q in qubits)
     # one bad reference, out of range or unresolved: index_of's error for it
     at %= len(qubits)
     bad = Named("a", 0) if past is None else Index(n + past)
@@ -273,3 +276,27 @@ def test_read_gate_matches_a_decode_property(case, at, past):
     with pytest.raises(ValueError) as got:
         read_gate(Gate(g.kind, targets, controls), n)
     assert str(got.value) == str(want.value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_indexed_gates(max_qubits=6).filter(lambda case: len(set(_qubits(case[1]))) < len(_qubits(case[1]))))
+@example((2, Gate(GateKind.SWAP, (Index(0), Index(0)), (Control(Index(1)),))))
+@example((2, Gate(GateKind.X, (Index(0),), (Control(Index(0)),))))
+def test_a_gate_naming_a_qubit_twice_is_refused_by_every_reader_property(case):
+    n, g = case
+    # after a gate every reader accepts, so the refusal comes mid-circuit
+    c = Circuit((), n, (Gate(GateKind.X, (Index(0),)), g))
+    with pytest.raises(ValueError, match=r"^\w+ gate names qubit \d+ twice$") as want:
+        read_gate(g, n)
+    readers = [
+        lambda: apply_gate(init_state(n), g),
+        lambda: run(c, 1),
+        lambda: specialize_syntactic(c, Specialization({0: 1})),
+    ]
+    if g.kind in (GateKind.X, GateKind.SWAP):  # the rest raise NonLogicGate first
+        readers.append(lambda: run_logic(c, BasisState(n, 1)))
+    for reader in readers:
+        with pytest.raises(ValueError) as got:
+            reader()
+        assert str(got.value) == str(want.value)
+    assert {d.gate_index for d in verify(c)} == {1}

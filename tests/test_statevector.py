@@ -110,7 +110,7 @@ def test_pair_index_disjointness():
 
 
 def test_apply_gate_rejects_swap_and_named_refs():
-    with pytest.raises(ValueError, match="swap targets are identical"):
+    with pytest.raises(ValueError, match="^swap gate names qubit 1 twice$"):
         apply_gate(init_state(2), Gate(GateKind.SWAP, (Index(1), Index(1))))
     with pytest.raises(ValueError, match="resolve"):
         apply_gate(init_state(2), Gate(GateKind.X, (Named("a", 0),)))
@@ -353,9 +353,11 @@ def _gate_loop(c: Circuit, prep: int) -> np.ndarray:
 
 def _fuse_everything():
     # runs of any length fuse at any n, 64 indices a chunk: small cases
-    # reach _permute and, from 8 qubits on, its loop over several chunks
+    # reach _permute and, from 8 qubits on, its loop over several chunks;
+    # a support limit of 0 sends every run to the dense loop at its first H
     return mock.patch.multiple(
-        statevector, FUSE_MIN_GATES=1, FUSE_MIN_QUBITS=1, _CHUNK_BITS=6
+        statevector, FUSE_MIN_GATES=1, FUSE_MIN_QUBITS=1, _CHUNK_BITS=6,
+        SPARSE_SHARE_BITS=64,
     )
 
 
@@ -411,16 +413,18 @@ def test_run_splits_where_a_run_would_target_every_qubit():
     assert np.array_equal(run(c, 5).amplitudes, _gate_loop(c, 5))
 
 
-def test_gates_naming_a_qubit_twice_are_left_to_apply_gate():
+def test_gates_naming_a_qubit_twice_raise_in_the_dense_loop():
     n = 12
     hs = [Gate(GateKind.H, (Index(q),)) for q in range(n)]
     xs = _x_cycle(n, 20, range(n - 1))
-    # verify rejects both; apply_gate ignores the control on the target
+    # verify rejects both; the H layer ends the sparse phase first
     odd = Gate(GateKind.X, (Index(2),), (Control(Index(2), False), Control(Index(5))))
     c = Circuit((), n, tuple(hs + xs + [odd] + xs))
-    assert np.array_equal(run(c, 3).amplitudes, _gate_loop(c, 3))
-    with pytest.raises(ValueError, match="swap targets are identical"):
-        run(Circuit((), n, tuple(xs + [_gate(GateKind.SWAP, [4, 4], [])] + xs)))
+    assert statevector._sparse(init_state(n, 3), c.gates) == 6
+    with pytest.raises(ValueError, match="^x gate names qubit 2 twice$"):
+        run(c, 3)
+    with pytest.raises(ValueError, match="^swap gate names qubit 4 twice$"):
+        run(Circuit((), n, tuple(hs + xs + [_gate(GateKind.SWAP, [4, 4], [])] + xs)))
 
 
 @pytest.mark.parametrize(
@@ -465,7 +469,7 @@ def test_a_superposed_adder_leaves_the_sparse_phase_and_fuses_at_sixteen_qubits(
         for label in ("a", "b") for k in range(bases[label][1])
     )
     c = Circuit(adder.registers, n, hs + adder.gates)
-    assert n == 16 and statevector._sparse(init_state(n, 9), c.gates, 9) < len(hs)
+    assert n == 16 and statevector._sparse(init_state(n, 9), c.gates) < len(hs)
     with mock.patch.object(statevector, "_permute", wraps=statevector._permute) as spy:
         got = run(c, 9)
     assert spy.call_count == 2
@@ -478,9 +482,9 @@ def test_fused_run_allocates_half_the_state_plus_scratch_and_keeps_nothing():
     rng = random.Random(61)
     gates = _x_cycle(n, 40, range(n - 1))
     gates[::5] = [_gate(GateKind.SWAP, rng.sample(range(n - 1), 2), []) for _ in gates[::5]]
-    # numpy's first call of each loop may cache a few bytes; not at n=16
-    warm = init_state(12)
-    statevector._permute(warm, _x_cycle(12, 20, range(11)), 11)
+    # numpy's first call of each loop, and CPython's tuple free lists, may
+    # keep a few bytes: warm both up with the same call
+    statevector._permute(init_state(n), gates, n - 1)
 
     s = init_state(n)
     s.amplitudes[:] = _random_state(rng, n)
@@ -505,9 +509,10 @@ def test_fused_run_allocates_half_the_state_plus_scratch_and_keeps_nothing():
 
 @st.composite
 def _basis_circuits(draw):
-    n = draw(st.integers(12, 16))
-    # an H layer of 0-10 qubits: the support passes 2**(n - 6) entries, and
-    # the run turns dense, at a different gate for each n and layer
+    n = draw(st.integers(1, 16))
+    # an H layer of 0-10 qubits: the support passes 2**n >> 6 entries, 0
+    # below 6 qubits, and the run turns dense, at a different gate for each
+    # n and layer
     layer = draw(st.lists(st.integers(0, n - 1), unique=True, max_size=10))
     gates = [Gate(GateKind.H, (Index(q),)) for q in layer]
     others = [k for k in GateKind if k not in (GateKind.X, GateKind.SWAP)]
@@ -538,7 +543,7 @@ def test_sparse_runs_equal_the_gate_loop_property(case):
 def test_sparse_phase_stops_where_the_support_would_pass_its_share():
     n = 12  # at most 2**6 entries
     c = Circuit((), n, tuple(Gate(GateKind.H, (Index(q),)) for q in range(8)))
-    assert statevector._sparse(init_state(n, 5), c.gates, 5) == 6
+    assert statevector._sparse(init_state(n, 5), c.gates) == 6
     assert np.array_equal(run(c, 5).amplitudes, _gate_loop(c, 5))
 
 
@@ -554,18 +559,20 @@ def test_sparse_phase_stops_where_the_support_would_pass_its_share():
 )
 def test_gates_naming_a_qubit_twice_end_the_sparse_phase(odd):
     n = 12
-    # verify rejects each; apply_gate gives it a reading of its own
+    # verify rejects each, and read_gate refuses it
     head = [Gate(GateKind.H, (Index(q),)) for q in (0, 3, 6)] + _x_cycle(n, 10, range(n - 1))
     c = Circuit((), n, tuple(head + [odd] + head))
     for prep in (0, 0xFFF, 0x2C5):
-        assert statevector._sparse(init_state(n, prep), c.gates, prep) == len(head)
-        assert np.array_equal(run(c, prep).amplitudes, _gate_loop(c, prep))
+        with pytest.raises(ValueError, match="names qubit [2-7] twice$"):
+            statevector._sparse(init_state(n, prep), c.gates)
+        with pytest.raises(ValueError, match="names qubit [2-7] twice$"):
+            run(c, prep)
 
 
 def test_swap_of_a_qubit_with_itself_raises_while_sparse():
     n = 12
     head = [Gate(GateKind.H, (Index(0),))] + _x_cycle(n, 10, range(n - 1))
-    with pytest.raises(ValueError, match="swap targets are identical"):
+    with pytest.raises(ValueError, match="^swap gate names qubit 4 twice$"):
         run(Circuit((), n, tuple(head + [_gate(GateKind.SWAP, [4, 4], [])])))
 
 
@@ -577,7 +584,7 @@ def test_a_gate_naming_every_qubit_is_left_to_apply_gate():
     everything = _gate(GateKind.T, list(range(n)), [True] * (n - 1))
     c = Circuit((), n, (_gate(GateKind.Z, [0], []), _gate(GateKind.T, [0], []), everything))
     prep = (1 << n) - 1
-    assert statevector._sparse(init_state(n, prep), c.gates, prep) == 2
+    assert statevector._sparse(init_state(n, prep), c.gates) == 2
     got = run(c, prep).amplitudes
     assert np.array_equal(got, _gate_loop(c, prep)) and got[prep].real == 0
 
@@ -602,7 +609,7 @@ def test_a_sparse_run_allocates_no_more_than_init_state_counts():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert statevector._sparse(init_state(n, 3), c.gates, 3) == len(c.gates)
+    assert statevector._sparse(init_state(n, 3), c.gates) == len(c.gates)
     assert peak - before <= state_bytes + state_bytes // 2
     assert np.array_equal(s.amplitudes, _gate_loop(c, 3))
 
@@ -626,11 +633,11 @@ def _holds(s: StateVector, want: np.ndarray) -> bool:
 
 @st.composite
 def _mixed_basis_circuits(draw):
-    n = draw(st.integers(12, 15))
+    n = draw(st.integers(1, 15))
     rng = random.Random(draw(st.integers(0, 2**32)))
     # an H layer of 0-8 qubits, so that later H gates meet entries with and
     # without partners and some runs turn dense; then gates of every kind
-    gates = [Gate(GateKind.H, (Index(q),)) for q in rng.sample(range(n), rng.randint(0, 8))]
+    gates = [Gate(GateKind.H, (Index(q),)) for q in rng.sample(range(n), rng.randint(0, min(n, 8)))]
     gates += random_indexed_circuit(rng, n, draw(st.integers(0, 40)), p_negative=0.5).gates
     return Circuit((), n, tuple(gates)), draw(st.integers(0, (1 << n) - 1))
 
