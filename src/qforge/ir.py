@@ -103,6 +103,9 @@ class GateKind(Enum):
     SWAP = "swap"
 
 
+_SWAP = GateKind.SWAP  # read by every Gate built: a global is cheaper than an enum lookup
+
+
 @dataclass(frozen=True, slots=True)
 class Named:
     """Qubit referenced as an offset into a labelled register."""
@@ -169,7 +172,7 @@ class Gate:
     controls: tuple[Control, ...] = ()
 
     def __post_init__(self) -> None:
-        want = 2 if self.kind is GateKind.SWAP else 1
+        want = 2 if self.kind is _SWAP else 1
         if len(self.targets) != want:
             raise ValueError(
                 f"{self.kind.value} takes {want} target(s), got {len(self.targets)}"

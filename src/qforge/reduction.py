@@ -19,9 +19,9 @@ smaller than the original's. Two strategies are tried in order:
   Cost, with m free qubits out of n: extraction runs the 2**m free
   values on ``logic``'s bit planes, at most ``logic.PLANE_SCRATCH``
   bytes of them at a time, a few numpy calls per gate and block.
-  Synthesis keeps the permutation table and its inverse, so a fix with
-  c controls swaps 2**(m-c-1) value pairs instead of sweeping all 2**m
-  entries. At most SEMANTIC_MAX_FREE free qubits are swept.
+  Synthesis keeps the images as m bit planes, Python ints in ``logic``'s
+  packed layout, so a fix with c controls is c + 1 big-int operations
+  whatever m is. At most SEMANTIC_MAX_FREE free qubits are swept.
 
 Kernel circuits are densely reindexed over the free qubits (old index
 order preserved) and carry a fresh register ``q`` so they can be
@@ -43,8 +43,9 @@ from .logic import NonLogicGate, _ops, plane_indices, read_gate, sweep
 from .passes import _resolve
 from .source import print_source
 
-# most free qubits the semantic path sweeps; it bounds the memory of the
-# 2**m-entry table and its synthesis, not time (planes: logic.PLANE_SCRATCH)
+# most free qubits the semantic path sweeps; it bounds memory, not time:
+# extraction's 2**m-entry permutation list, beside which synthesis's
+# 2*m*2**m bits of planes are small (sweep planes: logic.PLANE_SCRATCH)
 SEMANTIC_MAX_FREE = 20
 NAME_MAX = 255  # longest file name, in bytes, reduce may write
 
@@ -230,6 +231,15 @@ def extract_permutation(
     return perm.tolist(), {q: int(expected[q, 0] & 1) for q in sorted(spec.assignments)}
 
 
+def _bit_planes(values: np.ndarray, m: int) -> list[int]:
+    """Bit i of int b is bit b of values[i]: ``logic``'s packed rows,
+    each read as one little-endian int."""
+    return [
+        int.from_bytes(np.packbits(values >> b & 1, bitorder="little").tobytes(), "little")
+        for b in range(m)
+    ]
+
+
 def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
     """Resynthesize a basis permutation as multi-controlled NOTs.
 
@@ -240,11 +250,13 @@ def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
     collected gate list, reversed, is the circuit. Gate count is bounded
     by m * 2**m.
 
-    The table ``f`` is kept together with its inverse ``g``. A fix with
-    target bit j and control mask c (j never in c) flips bit j of every
-    image that contains c, which swaps the images of the 2**(m-|c|-1)
-    value pairs (y, y | 1<<j) with y containing c; only those pairs are
-    touched, so wide control masks cost little.
+    The images are kept as m bit planes, Python ints in which bit i of
+    plane b is bit b of f(i). A fix with target bit j and control mask c
+    (j never in c) flips bit j of every image that contains c: the AND
+    of c's planes is the fire mask, XORed into plane j, so a fix costs
+    |c| + 1 big-int operations whatever m is. A run of values that are
+    already their own image is jumped over with one OR of every plane's
+    difference from the identity's, read from v up.
     """
     size = len(perm)
     if size == 0 or size & (size - 1):
@@ -252,56 +264,72 @@ def synthesize_from_permutation(perm: Sequence[int]) -> Circuit:
     m = size.bit_length() - 1
     if sorted(perm) != list(range(size)):
         raise NotAPermutation("values are not a bijection over the domain")
-    f = list(perm)
-    g = [0] * size
-    for i, y in enumerate(f):
-        g[y] = i
+    planes = _bit_planes(np.array(perm, np.intp), m)
+    identity = _bit_planes(np.arange(size, dtype=np.intp), m)
+    everything = (1 << size) - 1
 
-    def apply_fix(target_bit: int, control_mask: int) -> None:
-        flip = 1 << target_bit
-        free = (size - 1) & ~(control_mask | flip)
-        s = free
-        while True:  # every submask s of free, down to 0
-            y0 = control_mask | s
-            y1 = y0 | flip
-            i0, i1 = g[y0], g[y1]
-            f[i0], f[i1] = y1, y0
-            g[y0], g[y1] = i1, i0
-            if not s:
-                return
-            s = (s - 1) & free
+    def fire_mask(mask: int) -> int:
+        """The values whose image contains every bit of mask."""
+        fire = everything
+        while mask:
+            low = mask & -mask
+            fire &= planes[low.bit_length() - 1]
+            mask ^= low
+        return fire
 
     fixes: list[tuple[int, int]] = []  # (target bit, positive-control mask)
-    for v in range(size):
-        y = f[v]
-        if y == v:
+    v = 0
+    while v < size:
+        y = 0
+        for b, plane in enumerate(planes):
+            y |= (plane >> v & 1) << b
+        if y == v:  # jump ahead to the next value whose image is not itself
+            differs = 0
+            for plane, bits in zip(planes, identity):
+                differs |= plane ^ bits
+            ahead = differs >> v
+            if not ahead:
+                break
+            v += (ahead & -ahead).bit_length() - 1
             continue
-        # raise the bits v has and y lacks, controlled on y's current ones
+        # raise the bits v has and y lacks, controlled on y's current ones;
+        # each raise adds its bit to the image and so to the next controls
+        fire = fire_mask(y)
         missing = v & ~y
         while missing:
             j = (missing & -missing).bit_length() - 1
             fixes.append((j, y))
-            apply_fix(j, y)
-            y = f[v]
-            missing = v & ~y
-        # then clear the extra bits, controlled on v's ones
+            planes[j] ^= fire
+            fire &= planes[j]
+            y |= 1 << j
+            missing &= missing - 1
+        # then clear the extra bits, controlled on v's ones, whose planes
+        # no clear changes
+        fire = fire_mask(v)
         extra = y & ~v
         while extra:
             j = (extra & -extra).bit_length() - 1
             fixes.append((j, v))
-            apply_fix(j, v)
+            planes[j] ^= fire
             extra &= extra - 1
+        v += 1
     qubits = [Index(b) for b in range(m)]
     controls = [Control(q) for q in qubits]
-    by_mask: dict[int, tuple[Control, ...]] = {}
-    gates = []
-    for target_bit, mask in reversed(fixes):
-        mask_controls = by_mask.get(mask)
-        if mask_controls is None:
-            mask_controls = tuple(controls[b] for b in range(m) if (mask >> b) & 1)
-            by_mask[mask] = mask_controls
-        gates.append(Gate(GateKind.X, (qubits[target_bit],), mask_controls))
-    return Circuit((), m, tuple(gates))
+    by_mask: dict[int, tuple[Control, ...]] = {0: ()}
+
+    def mask_controls(mask: int) -> tuple[Control, ...]:
+        """Positive controls on mask's bits in ascending order, as Gate
+        equality compares them: the mask without its top bit, extended."""
+        got = by_mask.get(mask)
+        if got is None:
+            top = mask.bit_length() - 1
+            got = by_mask[mask] = mask_controls(mask ^ (1 << top)) + (controls[top],)
+        return got
+
+    # one Gate per (target, mask) pair, shared by every fix that repeats it
+    x = GateKind.X
+    built = {(j, mask): Gate(x, (qubits[j],), mask_controls(mask)) for j, mask in set(fixes)}
+    return Circuit((), m, tuple(map(built.__getitem__, reversed(fixes))))
 
 
 def _reduce(c: Circuit, spec: Specialization) -> ReducedKernel:

@@ -135,3 +135,61 @@ def dense_unitary(c: Circuit) -> np.ndarray:
 
 def norm(v: np.ndarray) -> float:
     return float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
+
+
+def pair_swap_synthesis(perm: list[int]) -> Circuit:
+    """Transformation-based synthesis on a table and its inverse.
+
+    The oracle for ``reduction.synthesize_from_permutation``: the same
+    Miller-Maslov-Dueck walk, kept as the permutation ``f`` and its
+    inverse ``g``, where a fix with target bit j and control mask c
+    swaps the images of the 2**(m-|c|-1) value pairs (y, y | 1<<j) with
+    y containing c. ``perm`` must be a permutation of range(2**m).
+    """
+    size = len(perm)
+    m = size.bit_length() - 1
+    f = list(perm)
+    g = [0] * size
+    for i, y in enumerate(f):
+        g[y] = i
+
+    def apply_fix(target_bit: int, control_mask: int) -> None:
+        flip = 1 << target_bit
+        free = (size - 1) & ~(control_mask | flip)
+        s = free
+        while True:  # every submask s of free, down to 0
+            y0 = control_mask | s
+            y1 = y0 | flip
+            i0, i1 = g[y0], g[y1]
+            f[i0], f[i1] = y1, y0
+            g[y0], g[y1] = i1, i0
+            if not s:
+                return
+            s = (s - 1) & free
+
+    fixes: list[tuple[int, int]] = []  # (target bit, positive-control mask)
+    for v in range(size):
+        y = f[v]
+        if y == v:
+            continue
+        # raise the bits v has and y lacks, controlled on y's current ones
+        missing = v & ~y
+        while missing:
+            j = (missing & -missing).bit_length() - 1
+            fixes.append((j, y))
+            apply_fix(j, y)
+            y = f[v]
+            missing = v & ~y
+        # then clear the extra bits, controlled on v's ones
+        extra = y & ~v
+        while extra:
+            j = (extra & -extra).bit_length() - 1
+            fixes.append((j, v))
+            apply_fix(j, v)
+            extra &= extra - 1
+    gates = tuple(
+        Gate(GateKind.X, (Index(j),),
+             tuple(Control(Index(b)) for b in range(m) if (mask >> b) & 1))
+        for j, mask in reversed(fixes)
+    )
+    return Circuit((), m, gates)

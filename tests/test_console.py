@@ -1,5 +1,7 @@
 """The console command end to end: ``python -m qforge.cli`` in a child
-process, as a user runs it, on adders both simulators must agree on."""
+process, as a user runs it: adders both simulators must agree on, and
+``reduce`` refusing bad or oversized input with exit code 1 and a short
+message before it writes anything."""
 import os
 import subprocess
 import sys
@@ -15,16 +17,22 @@ from qforge.source import print_source
 SRC = str(Path(qforge.__file__).resolve().parent.parent)
 
 
-def qforge_cli(*args) -> str:
-    """Stdout of ``python -m qforge.cli args``, without its last newline;
-    the command must exit 0."""
+def qforge_run(*args) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of ``python -m qforge.cli args``."""
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, "-m", "qforge.cli", *map(str, args)],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
-    assert done.returncode == 0, done.stderr
-    return done.stdout.rstrip("\n")
+    return done.returncode, done.stdout, done.stderr
+
+
+def qforge_cli(*args) -> str:
+    """Stdout of ``python -m qforge.cli args``, without its last newline;
+    the command must exit 0."""
+    code, out, err = qforge_run(*args)
+    assert code == 0, err
+    return out.rstrip("\n")
 
 
 @pytest.mark.parametrize(
@@ -53,3 +61,50 @@ def test_a_superposed_adder_prints_its_first_most_likely_entry(tmp_path):
     (tmp_path / "sup14.fqt").write_text(f"{head}\n{layer}x {body}")
     top = qforge_cli("sim", tmp_path / "sup14.fqt", "--top", 1)
     assert top == "0 00000000000000 0.015625 0 0.000244140625"
+
+
+MODADD4 = fixture_path("cuccaro_modadd4_rearranged.fqt")
+DIGITS = "1" * 5000
+
+
+def test_reduce_refuses_a_value_given_twice_before_writing_a_kernel(tmp_path):
+    code, _, _ = qforge_run("reduce", MODADD4, "--qubits", "a3,a2,a1,a0,c",
+                            "--values", "00010,00010", "-o", tmp_path / "twice")
+    assert code == 1
+    assert not (tmp_path / "twice").exists()
+
+
+@pytest.mark.parametrize(
+    "qubits, values",
+    [(DIGITS, "0"), ("zz" + DIGITS, "0"), ("c", "z" * 5000)],
+    ids=["qubit-digits", "qubit-token", "value-letters"],
+)
+def test_reduce_names_a_5000_character_token_by_its_length(tmp_path, qubits, values):
+    code, _, err = qforge_run("reduce", MODADD4, "--qubits", qubits, "--values", values,
+                              "-o", tmp_path / "k")
+    assert code == 1
+    assert len(err.encode()) < 300
+
+
+def test_reduce_refuses_a_manifest_name_over_255_bytes_before_any_work(tmp_path):
+    # <243-byte stem>.manifest.json is 257 bytes
+    source = tmp_path / ("w" * 243 + ".fqt")
+    source.write_text("qreg c 1\nqreg t 1\nx t[0] c[0]\n")
+    code, _, err = qforge_run("reduce", source, "--qubits", "c", "--values", "0",
+                              "-o", tmp_path / "m")
+    assert code == 1
+    assert len(err.encode()) < 300
+    assert not (tmp_path / "m").exists()
+
+
+@pytest.mark.parametrize("bits, code", [(232, 0), (300, 1)])
+def test_reduce_writes_a_kernel_name_of_up_to_255_bytes_only(tmp_path, bits, code):
+    # wide.k<232 bits>.fqt is 242 bytes; wide.k<300 bits>.fqt would be 310
+    (tmp_path / "wide.fqt").write_text("qreg c 300\nqreg t 1\nx t[0] c[0]\n")
+    got, _, err = qforge_run("reduce", tmp_path / "wide.fqt",
+                             "--qubits", ",".join(f"c{k}" for k in range(bits)),
+                             "--values", "0" * bits, "-o", tmp_path / "w")
+    assert got == code
+    kernels = [p.name for p in tmp_path.glob("w/*.fqt")]
+    assert kernels == ([f"wide.k{'0' * bits}.fqt"] if code == 0 else [])
+    assert len(err.encode()) < 300

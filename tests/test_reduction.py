@@ -32,7 +32,7 @@ from qforge.reduction import (
 from qforge.source import parse_source, print_source
 from qforge.statevector import init_state
 
-from helpers import random_x_circuit
+from helpers import pair_swap_synthesis, random_x_circuit
 
 SYNTH_GOLDEN = json.loads(
     (Path(__file__).parent / "data" / "synth_golden.json").read_text()
@@ -385,6 +385,38 @@ def test_every_kernel_embeds_into_its_source(case):
             for old, new in kernel.index_map.items():
                 out_free |= ((out >> old) & 1) << new
             assert step(f) == out_free
+
+
+@st.composite
+def _permutations(draw, max_m=9):
+    """A permutation of range(2**m) that moves a drawn number of values,
+    so that runs of fixed values, which synthesis jumps over, are common."""
+    size = 1 << draw(st.integers(0, max_m))
+    rng = draw(st.randoms(use_true_random=False))
+    moved = rng.sample(range(size), draw(st.integers(0, size)))
+    perm = list(range(size))
+    for v, image in zip(moved, rng.sample(moved, len(moved))):
+        perm[v] = image
+    return perm
+
+
+@settings(max_examples=200, deadline=None)
+@given(_permutations())
+def test_synthesis_equals_the_pair_swap_oracle(perm):
+    # Gate equality: same targets and the same controls in the same order
+    assert synthesize_from_permutation(perm) == pair_swap_synthesis(perm)
+
+
+@pytest.mark.parametrize("m", [12, 13, 14])
+@pytest.mark.parametrize(
+    "image",
+    [lambda b: b + 0x2D5, lambda b: b - 1, lambda b: b ^ 0x1A5A],
+    ids=["plus-k", "minus-1", "xor-k"],
+)
+def test_structured_permutations_equal_the_pair_swap_oracle(m, image):
+    size = 1 << m
+    perm = [image(b) % size for b in range(size)]
+    assert synthesize_from_permutation(perm) == pair_swap_synthesis(perm)
 
 
 class TestSynthesize:
